@@ -22,7 +22,7 @@ from .boundary import (
     rings_compatible,
 )
 from .fem import (
-    CG_RTOL,
+    FourierSolver,
     SolverError,
     assemble_stiffness,
     neumann_load,
@@ -97,13 +97,13 @@ __all__ = [
     "BUILTIN_NAMES",
     "BoundaryFunction",
     "BoundaryRing",
-    "CG_RTOL",
     "CauchyData",
     "Constant",
     "DEFAULT_BAND_CAP",
     "DivergenceError",
     "ExplicitSchedule",
     "FemBackend",
+    "FourierSolver",
     "FourierBoundary",
     "HarmonicSeries",
     "HarmonicTerm",

@@ -11,7 +11,8 @@ Four subcommands work off a single JSON config file:
 * ``mesh-info``    mesh statistics, optionally dumping node/triangle CSVs
 
 Exit codes: 0 success (including a run that merely hit its iteration cap),
-1 usage or config error, 2 numerical failure, 3 oracle tolerance breach.
+1 usage or config error, 2 numerical failure (divergence, a non-finite
+solve, step underflow), 3 oracle tolerance breach.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Any
 import numpy as np
 
 from .boundary import BoundaryFunction, boundary_norm
-from .fem import SolverError, assemble_stiffness, normal_flux, solve_mixed_bvp, trace
+from .fem import SolverError
 from .iteration import (
     DivergenceError,
     FemBackend,
@@ -56,8 +57,9 @@ EXIT_USAGE = 1
 EXIT_NUMERICAL = 2
 EXIT_ORACLE = 3
 
-# Coarse-grid errors below this sit at the linear-solver floor, where a
-# refinement ratio is meaningless noise.
+# The direct solve is exact to rounding, so coarse-grid errors below this
+# are rounding, not discretisation error (P1 reproduces mode 0 exactly),
+# and a refinement ratio of them is meaningless noise.
 RATIO_FLOOR = 1e-10
 
 
@@ -278,8 +280,7 @@ def _summary_payload(result: RunResult, wall_time: float, cfg: dict) -> dict:
     }
 
 
-def _execute(cfg: dict, strategy: StepStrategy) -> tuple[RunResult, float]:
-    backend = _backend(cfg)
+def _execute(cfg: dict, backend, strategy: StepStrategy) -> tuple[RunResult, float]:
     data = cauchy_data(_data_terms(cfg), backend.outer_ring)
     start = time.perf_counter()
     result = run(backend, data, strategy, _stop_rule(cfg))
@@ -289,7 +290,7 @@ def _execute(cfg: dict, strategy: StepStrategy) -> tuple[RunResult, float]:
 def cmd_run(cfg: dict, out_override: str | None) -> int:
     strategy = _strategy(cfg.get("strategy"))
     out = _output_dir(cfg, out_override)
-    result, wall = _execute(cfg, strategy)
+    result, wall = _execute(cfg, _backend(cfg), strategy)
 
     write_history_csv(result.history, out / "history.csv")
     exact = exact_inner_trace(_data_terms(cfg), result.omega.ring)
@@ -319,11 +320,12 @@ def cmd_compare(cfg: dict, out_override: str | None) -> int:
         raise ConfigError("compare needs a 'strategies' list with at least two entries")
     strategies = [_strategy(obj, f"strategies[{i}]") for i, obj in enumerate(specs)]
     out = _output_dir(cfg, out_override)
+    backend = _backend(cfg)
 
     labels, results = [], []
     for i, (obj, strategy) in enumerate(zip(specs, strategies)):
         label = _strategy_label(i, obj)
-        result, wall = _execute(cfg, strategy)
+        result, wall = _execute(cfg, backend, strategy)
         write_history_csv(result.history, out / f"history_{label}.csv")
         labels.append(label)
         results.append(result)
@@ -363,7 +365,7 @@ def oracle_check(
     checks do not pollute one another.
 
     With ``refine`` the mesh is doubled in both directions and each error
-    must shrink by ``min_ratio``, except errors already at the solver floor.
+    must shrink by ``min_ratio``, except errors already at rounding level.
     Returns one result dict per mode; ``passed`` reflects all checks.
     """
     if not modes:
@@ -376,9 +378,8 @@ def oracle_check(
             )
 
     def errors_on(mesh_spec: AnnulusSpec) -> list[tuple[float, float]]:
-        mesh = generate_mesh(mesh_spec)
-        stiffness = assemble_stiffness(mesh)
-        inner, outer = mesh.inner_ring, mesh.outer_ring
+        backend = FemBackend(generate_mesh(mesh_spec))
+        inner, outer = backend.inner_ring, backend.outer_ring
         zero_outer = BoundaryFunction.zeros(outer)
         pairs = []
         for mode in modes:
@@ -387,20 +388,15 @@ def oracle_check(
             shape_in = np.cos(mode * inner.angles)
             shape_out = np.cos(mode * outer.angles)
 
-            primal = solve_mixed_bvp(
-                mesh, zero_outer, BoundaryFunction(inner, shape_in), stiffness=stiffness
-            )
-            got_trace = trace(primal, outer)
+            got_trace = backend.solve_primary(BoundaryFunction(inner, shape_in), zero_outer)
             want_trace = BoundaryFunction(outer, t_factor * shape_out)
             trace_err = boundary_norm(got_trace - want_trace) / boundary_norm(want_trace)
 
+            # the adjoint solve returns minus the recovered inner flux
             driver = BoundaryFunction(outer, 2.0 * t_factor * shape_out)
-            adjoint = solve_mixed_bvp(
-                mesh, driver, BoundaryFunction.zeros(inner), stiffness=stiffness
-            )
-            got_flux = normal_flux(adjoint, mesh, stiffness=stiffness)
-            want_flux = BoundaryFunction(inner, -c_factor * shape_in)
-            flux_err = boundary_norm(got_flux - want_flux) / boundary_norm(want_flux)
+            got_grad = backend.solve_adjoint(driver)
+            want_grad = BoundaryFunction(inner, c_factor * shape_in)
+            flux_err = boundary_norm(got_grad - want_grad) / boundary_norm(want_grad)
             pairs.append((float(trace_err), float(flux_err)))
         return pairs
 

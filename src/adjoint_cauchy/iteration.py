@@ -8,7 +8,7 @@ guess against the recovered gradient:
     omega_{k+1} = omega_k - rho_k * grad_k .
 
 Both backends expose the same three operations. The finite element one
-works on a mesh and prefactors nothing but the stiffness matrix; the
+works on a mesh and prepares its per-mode direct solve once; the
 spectral one works in Fourier space and is exact up to the analysis band.
 Each main-path iteration costs exactly one primary and one adjoint solve;
 line-search trials are counted separately so solver budgets of different
@@ -32,7 +32,7 @@ from .boundary import (
     ring_mass_apply,
     rings_compatible,
 )
-from .fem import assemble_stiffness, normal_flux, solve_mixed_bvp, trace
+from .fem import FourierSolver, assemble_stiffness, normal_flux, solve_mixed_bvp, trace
 from .fourier import analyze, synthesize
 from .mesh import AnnulusMesh
 from .spectral import DEFAULT_BAND_CAP, FourierBoundary, solve_series
@@ -159,14 +159,15 @@ class Backend(Protocol):
 class FemBackend:
     """Finite element solves on a fixed annulus mesh.
 
-    The stiffness matrix is assembled once at construction; everything
-    else is recomputed per call, so instances are safe to share between
-    concurrent runs.
+    The stiffness matrix is assembled and the direct solver prepared once
+    at construction; everything else is recomputed per call, so instances
+    are safe to share between concurrent runs.
     """
 
     def __init__(self, mesh: AnnulusMesh):
         self.mesh = mesh
         self.stiffness = assemble_stiffness(mesh)
+        self.solver = FourierSolver(mesh, self.stiffness)
         self.inner_ring = mesh.inner_ring
         self.outer_ring = mesh.outer_ring
         self.r_inner = mesh.spec.r_inner
@@ -175,7 +176,7 @@ class FemBackend:
     def solve_primary(
         self, omega: BoundaryFunction, q_bar: BoundaryFunction
     ) -> BoundaryFunction:
-        field_ = solve_mixed_bvp(self.mesh, q_bar, omega, stiffness=self.stiffness)
+        field_ = solve_mixed_bvp(self.mesh, q_bar, omega, solver=self.solver)
         return trace(field_, self.outer_ring)
 
     def solve_adjoint(self, neumann: BoundaryFunction) -> BoundaryFunction:
@@ -184,7 +185,7 @@ class FemBackend:
             self.mesh,
             neumann,
             BoundaryFunction.zeros(self.inner_ring),
-            stiffness=self.stiffness,
+            solver=self.solver,
         )
         flux = normal_flux(field_, self.mesh, stiffness=self.stiffness)
         return BoundaryFunction(self.inner_ring, -flux.values)

@@ -228,5 +228,5 @@ def test_criterion_9_fd_gradient_check():
         pred = boundary_inner_product(g, d)
         rel = abs(fd - pred) / max(abs(fd), 1e-300)
         worst = max(worst, rel)
-    ok = worst <= 1e-3
+    ok = worst <= 1e-6
     _report("criterion 9 (adjoint vs finite differences)", ok, f"worst relative mismatch over 10 directions: {worst:.3e}")

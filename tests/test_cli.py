@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from adjoint_cauchy import AnnulusSpec
+from adjoint_cauchy import AnnulusSpec, cli
 from adjoint_cauchy.cli import ConfigError, _number, main, oracle_check
 
 BASE = {
@@ -147,6 +147,29 @@ def test_compare_outputs(tmp_path):
         assert cells[2] == cells[3]
     assert (tmp_path / "cmp" / "history_00_sweep.csv").exists()
     assert (tmp_path / "cmp" / "history_01_constant.csv").exists()
+
+
+def test_fem_compare_builds_one_backend(tmp_path, monkeypatch):
+    built = []
+    fem_backend = cli.FemBackend
+
+    def counting_backend(mesh):
+        built.append(mesh)
+        return fem_backend(mesh)
+
+    monkeypatch.setattr(cli, "FemBackend", counting_backend)
+    cfg = dict(
+        BASE,
+        backend="fem",
+        strategies=[
+            {"kind": "constant", "rho": "1/3"},
+            {"kind": "sweep", "mode_min": 0, "mode_max": 2},
+        ],
+        output_dir=str(tmp_path / "cmp"),
+    )
+    del cfg["strategy"]
+    assert main(["compare", write_config(tmp_path, cfg)]) == 0
+    assert len(built) == 1
 
 
 def test_compare_requires_two_strategies(tmp_path):

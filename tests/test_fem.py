@@ -1,15 +1,20 @@
 """P1 assembly, mixed solves, traces, and boundary flux recovery."""
 
+import dataclasses
 import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.sparse.linalg import spsolve
 
 from adjoint_cauchy import (
     AnnulusSpec,
     BoundaryFunction,
+    FemBackend,
+    FourierSolver,
+    SolverError,
     assemble_stiffness,
     boundary_norm,
     builtin_terms,
@@ -21,6 +26,7 @@ from adjoint_cauchy import (
     solve_mixed_bvp,
     trace,
 )
+from adjoint_cauchy import iteration
 
 
 def _single_triangle(points):
@@ -182,7 +188,60 @@ def test_solver_linearity():
     a, b = 1.75, -0.6
     v_combo = solve_mixed_bvp(mesh, a * q1 + b * q2, a * w1 + b * w2)
     v_parts = a * solve_mixed_bvp(mesh, q1, w1) + b * solve_mixed_bvp(mesh, q2, w2)
-    assert np.max(np.abs(v_combo - v_parts)) < 1e-8
+    assert np.max(np.abs(v_combo - v_parts)) < 1e-12
+
+
+@pytest.mark.parametrize("n_radial, n_angular", [(1, 3), (2, 7), (3, 4), (5, 25), (12, 64)])
+def test_solve_matches_sparse_direct_solve(n_radial, n_angular):
+    mesh = generate_mesh(AnnulusSpec(1.0, 3.0, n_radial, n_angular))
+    rng = np.random.default_rng(n_radial * 100 + n_angular)
+    q = BoundaryFunction(mesh.outer_ring, rng.standard_normal(n_angular))
+    w = BoundaryFunction(mesh.inner_ring, rng.standard_normal(n_angular))
+    got = solve_mixed_bvp(mesh, q, w, solver=FourierSolver(mesh))
+
+    k = assemble_stiffness(mesh)
+    fixed = mesh.inner_ring.node_ids
+    free = np.ones(mesh.n_nodes, dtype=bool)
+    free[fixed] = False
+    rhs = neumann_load(mesh, q)[free] - k[free][:, fixed] @ w.values
+    want = spsolve(k[free][:, free].tocsc(), rhs)
+    assert np.linalg.norm(got[free] - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_dirichlet_values_exact_through_backend(monkeypatch):
+    fields = []
+
+    def keep_field(*args, **kwargs):
+        fields.append(solve_mixed_bvp(*args, **kwargs))
+        return fields[-1]
+
+    monkeypatch.setattr(iteration, "solve_mixed_bvp", keep_field)
+    backend = FemBackend(generate_mesh(AnnulusSpec(1.0, 3.0, 4, 24)))
+    omega = BoundaryFunction(backend.inner_ring, np.random.default_rng(5).standard_normal(24))
+    backend.solve_primary(omega, BoundaryFunction.zeros(backend.outer_ring))
+    backend.solve_adjoint(BoundaryFunction(backend.outer_ring, np.ones(24)))
+    assert np.array_equal(trace(fields[0], backend.inner_ring).values, omega.values)
+    assert np.all(trace(fields[1], backend.inner_ring).values == 0.0)
+
+
+def test_rotation_variant_mesh_rejected():
+    mesh = generate_mesh(AnnulusSpec(1.0, 3.0, 3, 16))
+    nodes = mesh.nodes.copy()
+    nodes[20] *= 1.01  # one interior node moved outward
+    skewed = dataclasses.replace(mesh, nodes=nodes)
+    with pytest.raises(ValueError):
+        FourierSolver(skewed)
+    with pytest.raises(ValueError):
+        FemBackend(skewed)
+
+
+def test_non_finite_data_raises_solver_error():
+    backend = FemBackend(generate_mesh(AnnulusSpec(1.0, 3.0, 3, 16)))
+    values = np.zeros(16)
+    values[3] = np.nan
+    omega = BoundaryFunction(backend.inner_ring, values)
+    with pytest.raises(SolverError):
+        backend.solve_primary(omega, BoundaryFunction.zeros(backend.outer_ring))
 
 
 def test_solve_ring_validation():
@@ -198,4 +257,13 @@ def test_solve_ring_validation():
             mesh,
             BoundaryFunction.zeros(mesh.outer_ring),
             BoundaryFunction.zeros(make_ring("inner", 1.0, 12)),
+        )
+    # factors prepared for a mesh of the same shape belong to another mesh
+    other = FourierSolver(generate_mesh(AnnulusSpec(1.0, 3.0, 2, 8)))
+    with pytest.raises(ValueError):
+        solve_mixed_bvp(
+            mesh,
+            BoundaryFunction.zeros(mesh.outer_ring),
+            BoundaryFunction.zeros(mesh.inner_ring),
+            solver=other,
         )

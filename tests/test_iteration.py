@@ -177,7 +177,7 @@ def test_fem_gradient_differentiates_discrete_functional():
         jm, _ = evaluate_functional(fem, omega - h * d, data)
         fd = (jp - jm) / (2 * h)
         pred = boundary_inner_product(g, d)
-        assert abs(fd - pred) <= 1e-3 * max(abs(fd), 1e-12)
+        assert abs(fd - pred) <= 1e-6 * max(abs(fd), 1e-12)
 
 
 def test_write_history_csv(tmp_path):
