@@ -11,7 +11,7 @@ on the same polygon.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,12 +36,14 @@ class BoundaryRing:
 
     ``node_ids`` holds the global mesh indices of the ring nodes when the
     ring belongs to a mesh; rings used by the spectral backend carry None.
+    ``chord_lengths`` are computed from the angles once, at construction.
     """
 
     side: str
     radius: float
     angles: Array
     node_ids: Array | None = None
+    chord_lengths: Array = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.side not in ("inner", "outer"):
@@ -54,6 +56,10 @@ class BoundaryRing:
         if angles[0] < 0.0 or angles[-1] >= 2.0 * np.pi or np.any(np.diff(angles) <= 0.0):
             raise ValueError("ring angles must be strictly increasing within [0, 2*pi)")
         object.__setattr__(self, "angles", angles)
+        gaps = np.diff(np.append(angles, angles[0] + 2.0 * np.pi))
+        chords = 2.0 * self.radius * np.sin(0.5 * gaps)
+        chords.flags.writeable = False
+        object.__setattr__(self, "chord_lengths", chords)
         if self.node_ids is not None:
             ids = np.asarray(self.node_ids, dtype=int)
             if ids.shape != angles.shape:
@@ -130,9 +136,7 @@ class BoundaryFunction:
 
 def ring_chord_lengths(ring: BoundaryRing) -> Array:
     """Length of each polygon edge; edge i joins node i to node i+1 (cyclic)."""
-    theta = ring.angles
-    gaps = np.diff(np.append(theta, theta[0] + 2.0 * np.pi))
-    return 2.0 * ring.radius * np.sin(0.5 * gaps)
+    return ring.chord_lengths
 
 
 def ring_lumped_weights(ring: BoundaryRing) -> Array:

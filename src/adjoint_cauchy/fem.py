@@ -185,7 +185,7 @@ def trace(field: Array, ring: BoundaryRing) -> BoundaryFunction:
 def normal_flux(
     field: Array,
     mesh: AnnulusMesh,
-    stiffness: sparse.csr_matrix | None = None,
+    inner_rows: sparse.csr_matrix | None = None,
 ) -> BoundaryFunction:
     """Outward normal derivative of a solution on the inner ring.
 
@@ -193,9 +193,11 @@ def normal_flux(
     at inner-ring nodes, so the stiffness residual there is the ring mass
     applied to the flux. The residual divided by the lumped ring weights
     is the nodal flux, with the normal pointing out of the annulus
-    (toward the origin).
+    (toward the origin). ``inner_rows`` are the stiffness rows of the
+    inner-ring nodes; pass them to reuse one slice across calls.
     """
-    matrix = assemble_stiffness(mesh) if stiffness is None else stiffness
     ring = mesh.inner_ring
-    residual = (matrix @ np.asarray(field, dtype=float))[ring.node_ids]
+    if inner_rows is None:
+        inner_rows = assemble_stiffness(mesh)[ring.node_ids]
+    residual = inner_rows @ np.asarray(field, dtype=float)
     return BoundaryFunction(ring, residual / ring_lumped_weights(ring))

@@ -1,9 +1,14 @@
 """Conversion between nodal ring data and Fourier coefficients.
 
-``analyze`` turns equispaced ring samples into coefficients via the
-discrete Fourier transform, ``synthesize`` goes back, and ``detect_band``
-finds the significant mode range of a coefficient set. Real data is kept
-exactly conjugate-symmetric so the round trip is the identity on
+On a ring of n equispaced nodes, ``band_coefficients`` takes the real
+discrete Fourier transform (``rfft``) of the samples and keeps modes
+``0..max_mode``, and ``band_samples`` goes back with one ``irfft``. Both
+the spectral backend and the public ``analyze``/``synthesize`` use this
+pair, which works on arrays in ``rfft`` layout: entry j is the coefficient
+a_j of exp(i*j*theta), and a_{-j} = conj(a_j) is implied. ``analyze`` and
+``synthesize`` wrap it for ``FourierBoundary`` dictionaries, checking that
+the ring is equispaced, and ``detect_band`` finds the significant mode
+range of a coefficient set. The round trip is the identity on
 band-limited functions.
 """
 
@@ -18,6 +23,8 @@ from .spectral import FourierBoundary
 
 __all__ = ["analyze", "synthesize", "detect_band"]
 
+Array = np.ndarray
+
 # Relative magnitude below which a coefficient is treated as numerical noise.
 BAND_THRESHOLD = 1e-8
 
@@ -29,72 +36,87 @@ def _require_equispaced(ring: BoundaryRing) -> None:
         raise ValueError("analysis requires a ring of equispaced nodes starting at angle 0")
 
 
+def _require_resolvable(max_mode: int, n: int) -> None:
+    resolvable = (n - 1) // 2
+    if max_mode < 0:
+        raise ValueError("max_mode must be nonnegative")
+    if max_mode > resolvable:
+        raise ValueError(
+            f"band {max_mode} exceeds the {resolvable} modes resolvable with {n} samples"
+        )
+
+
+def band_coefficients(values: Array, max_mode: int, *, warn_tail: bool = True) -> Array:
+    """Coefficients a_0..a_max_mode of samples at n equispaced angles 2*pi*k/n.
+
+    A ring of n nodes resolves modes up to (n - 1) // 2; asking beyond that
+    raises, while sample content above the returned band (including the
+    even-n Nyquist bin) is discarded with a warning when it is significant.
+    ``warn_tail=False`` suppresses the warning; callers that transform data
+    which is band-limited by construction (so any tail is roundoff) use it
+    to avoid false alarms on all-noise signals.
+    """
+    n = values.size
+    _require_resolvable(max_mode, n)
+    spectrum = np.fft.rfft(values) / n
+    spectrum[0] = spectrum[0].real
+    if warn_tail:
+        magnitude = np.abs(spectrum)
+        if magnitude[max_mode + 1 :].max(initial=0.0) > BAND_THRESHOLD * magnitude.max():
+            warnings.warn(
+                f"ring data has significant content above mode {max_mode}; "
+                "those coefficients were discarded",
+                stacklevel=3,  # the caller of whoever asked for the coefficients
+            )
+    return spectrum[: max_mode + 1]
+
+
+def band_samples(coeffs: Array, n: int) -> Array:
+    """Values at n equispaced angles of the real function with ``rfft``-layout
+    coefficients ``coeffs``; the inverse of ``band_coefficients``."""
+    _require_resolvable(coeffs.size - 1, n)
+    return np.fft.irfft(coeffs * n, n)
+
+
 def analyze(
     f: BoundaryFunction, max_mode: int | None = None, *, warn_tail: bool = True
 ) -> FourierBoundary:
     """Fourier coefficients of ring samples, up to ``max_mode``.
 
-    A ring of n nodes resolves modes up to (n - 1) // 2; asking beyond that
-    raises, while sample content above the returned band (including the
-    even-n Nyquist bin) is discarded with a warning when it is significant.
-    ``warn_tail=False`` suppresses the warning; callers that analyze data
-    which is band-limited by construction (so any tail is roundoff) use it
-    to avoid false alarms on all-noise signals.
+    ``max_mode`` defaults to the highest mode the ring resolves; the band
+    check and the tail warning are those of ``band_coefficients``.
     """
-    ring = f.ring
-    _require_equispaced(ring)
-    n = ring.size
-    resolvable = (n - 1) // 2
+    _require_equispaced(f.ring)
     if max_mode is None:
-        max_mode = resolvable
-    elif max_mode < 0:
-        raise ValueError("max_mode must be nonnegative")
-    elif max_mode > resolvable:
-        raise ValueError(
-            f"requested band {max_mode} exceeds the {resolvable} modes "
-            f"resolvable with {n} samples"
-        )
-
-    spectrum = np.fft.fft(f.values) / n
-    coeffs: dict[int, complex] = {0: complex(spectrum[0].real, 0.0)}
+        max_mode = (f.ring.size - 1) // 2
+    spectrum = band_coefficients(f.values, max_mode, warn_tail=warn_tail)
+    coeffs: dict[int, complex] = {0: complex(spectrum[0])}
     for j in range(1, max_mode + 1):
         a = complex(spectrum[j])
         coeffs[j] = a
         coeffs[-j] = a.conjugate()
-
-    discarded = np.abs(spectrum[max_mode + 1 : n - max_mode])
-    if warn_tail and discarded.size:
-        scale = float(np.max(np.abs(spectrum)))
-        if scale > 0.0 and float(np.max(discarded)) > BAND_THRESHOLD * scale:
-            warnings.warn(
-                f"ring data has significant content above mode {max_mode}; "
-                "those coefficients were discarded",
-                stacklevel=2,
-            )
-    return FourierBoundary(coeffs, ring.radius)
+    return FourierBoundary(coeffs, f.ring.radius)
 
 
 def synthesize(c: FourierBoundary, ring: BoundaryRing) -> BoundaryFunction:
     """Nodal samples of a coefficient set on ``ring``.
 
-    The coefficients must be conjugate-symmetric (real data) and their band
-    must be resolvable on the ring.
+    The ring must be equispaced, the coefficients conjugate-symmetric (real
+    data) and their band resolvable on the ring.
     """
     if c.radius != ring.radius:
         raise ValueError("coefficients and ring have different radii")
-    if c.max_mode > (ring.size - 1) // 2:
-        raise ValueError(
-            f"band {c.max_mode} exceeds the {(ring.size - 1) // 2} modes "
-            f"resolvable on a ring of {ring.size} nodes"
-        )
+    _require_equispaced(ring)
+    _require_resolvable(c.max_mode, ring.size)
     if not c.is_real():
         raise ValueError("coefficients are not conjugate-symmetric; data would be complex")
 
-    modes = np.array(c.modes, dtype=float)
-    amps = np.array([c.coeffs[j] for j in c.modes], dtype=complex)
-    phases = np.exp(1j * np.outer(ring.angles, modes))
-    values = phases @ amps
-    return BoundaryFunction(ring, values.real)
+    # average a_j with conj(a_{-j}) so that a pair equal only to tolerance
+    # gives the real part of the two-sided sum
+    coeffs = np.array(
+        [0.5 * (c.get(j) + c.get(-j).conjugate()) for j in range(c.max_mode + 1)]
+    )
+    return BoundaryFunction(ring, band_samples(coeffs, ring.size))
 
 
 def detect_band(c: FourierBoundary, rel_threshold: float = BAND_THRESHOLD) -> tuple[int, int] | None:

@@ -7,9 +7,13 @@ guess against the recovered gradient:
 
     omega_{k+1} = omega_k - rho_k * grad_k .
 
-Both backends expose the same three operations. The finite element one
-works on a mesh and prepares its per-mode direct solve once; the
-spectral one works in Fourier space and is exact up to the analysis band.
+Both backends expose the same three operations and prepare a per-mode
+response once, at construction, so that each solve is an ``rfft``, a
+product per mode and an ``irfft``. The finite element one works on a mesh
+and reads its responses off the stiffness; the spectral one takes them
+from the closed-form series solution, for the three maps it needs
+(Dirichlet data to outer trace, Neumann data to outer trace, Neumann data
+to the gradient on the inner circle), and is exact up to the analysis band.
 Each main-path iteration costs exactly one primary and one adjoint solve;
 line-search trials are counted separately so solver budgets of different
 step strategies can be compared.
@@ -23,6 +27,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol, runtime_checkable
 
+import numpy as np
+
 from . import steps as step_rules
 from .boundary import (
     BoundaryFunction,
@@ -33,7 +39,7 @@ from .boundary import (
     rings_compatible,
 )
 from .fem import FourierSolver, assemble_stiffness, normal_flux, solve_mixed_bvp, trace
-from .fourier import analyze, synthesize
+from .fourier import band_coefficients, band_samples
 from .mesh import AnnulusMesh
 from .spectral import DEFAULT_BAND_CAP, FourierBoundary, solve_series
 
@@ -77,6 +83,9 @@ class CauchyData:
             raise ValueError("Cauchy data lives on the outer ring")
         if not rings_compatible(self.u_bar.ring, self.q_bar.ring):
             raise ValueError("Dirichlet and Neumann data must share one ring")
+        for name in ("u_bar", "q_bar"):
+            if not np.isfinite(getattr(self, name).values).all():
+                raise ValueError(f"Cauchy data {name} has a non-finite value")
 
 
 @dataclass
@@ -159,15 +168,17 @@ class Backend(Protocol):
 class FemBackend:
     """Finite element solves on a fixed annulus mesh.
 
-    The stiffness matrix is assembled and the direct solver prepared once
-    at construction; everything else is recomputed per call, so instances
-    are safe to share between concurrent runs.
+    The stiffness matrix is assembled, its inner-ring rows (which recover
+    the flux) sliced and the direct solver prepared once at construction;
+    everything else is recomputed per call, so instances are safe to share
+    between concurrent runs.
     """
 
     def __init__(self, mesh: AnnulusMesh):
         self.mesh = mesh
         self.stiffness = assemble_stiffness(mesh)
         self.solver = FourierSolver(mesh, self.stiffness)
+        self.inner_rows = self.stiffness[mesh.inner_ring.node_ids]
         self.inner_ring = mesh.inner_ring
         self.outer_ring = mesh.outer_ring
         self.r_inner = mesh.spec.r_inner
@@ -187,7 +198,7 @@ class FemBackend:
             BoundaryFunction.zeros(self.inner_ring),
             solver=self.solver,
         )
-        flux = normal_flux(field_, self.mesh, stiffness=self.stiffness)
+        flux = normal_flux(field_, self.mesh, inner_rows=self.inner_rows)
         return BoundaryFunction(self.inner_ring, -flux.values)
 
     def functional(self, v_trace: BoundaryFunction, u_bar: BoundaryFunction) -> float:
@@ -201,7 +212,16 @@ class FemBackend:
 
 
 class SpectralBackend:
-    """Fourier-space solves on nominal rings of equispaced nodes."""
+    """Fourier-space solves on nominal rings of equispaced nodes.
+
+    At construction, ``solve_series`` is run once on unit coefficients to
+    get, for modes ``0..max_mode`` in ``rfft`` layout, the outer trace of
+    unit Dirichlet data (``dirichlet_trace``) and of unit Neumann data
+    (``neumann_trace``), and the inner radial derivative of unit Neumann
+    data (``neumann_gradient``). A solve is then a product per mode between
+    ``band_coefficients`` and ``band_samples``. Data must live on the
+    backend's own rings.
+    """
 
     def __init__(
         self,
@@ -212,40 +232,67 @@ class SpectralBackend:
     ):
         if not (0.0 < r_inner < r_outer):
             raise ValueError("radii must satisfy 0 < r_inner < r_outer")
+        if max_mode < 0:
+            raise ValueError("max_mode must be nonnegative")
         self.r_inner = r_inner
         self.r_outer = r_outer
         self.max_mode = min(max_mode, (n_angular - 1) // 2)
         self.inner_ring = make_ring("inner", r_inner, n_angular)
         self.outer_ring = make_ring("outer", r_outer, n_angular)
 
+        modes = range(self.max_mode + 1)
+        from_dirichlet = solve_series(
+            FourierBoundary.zero(r_outer),
+            FourierBoundary(dict.fromkeys(modes, 1.0), r_inner),
+            r_inner,
+            r_outer,
+        )
+        from_neumann = solve_series(
+            FourierBoundary(dict.fromkeys(modes, 1.0), r_outer),
+            FourierBoundary.zero(r_inner),
+            r_inner,
+            r_outer,
+        )
+
+        def per_mode(c: FourierBoundary) -> np.ndarray:
+            return np.array([c.get(j) for j in modes])
+
+        self.dirichlet_trace = per_mode(from_dirichlet.trace(r_outer))
+        self.neumann_trace = per_mode(from_neumann.trace(r_outer))
+        # gradient = -d/dn on the inner circle = +d/dr there
+        self.neumann_gradient = per_mode(from_neumann.radial_derivative(r_inner))
+
+    def _require_ring(self, f: BoundaryFunction, ring: BoundaryRing) -> None:
+        if not rings_compatible(f.ring, ring):
+            raise ValueError(f"data must live on the backend's {ring.side} ring")
+
     def solve_primary(
         self, omega: BoundaryFunction, q_bar: BoundaryFunction
     ) -> BoundaryFunction:
-        series = solve_series(
-            analyze(q_bar, self.max_mode),
-            analyze(omega, self.max_mode),
-            self.r_inner,
-            self.r_outer,
-        )
-        return synthesize(series.trace(self.r_outer), self.outer_ring)
+        self._require_ring(omega, self.inner_ring)
+        self._require_ring(q_bar, self.outer_ring)
+        modes = self.dirichlet_trace * band_coefficients(omega.values, self.max_mode)
+        modes += self.neumann_trace * band_coefficients(q_bar.values, self.max_mode)
+        return BoundaryFunction(self.outer_ring, band_samples(modes, self.outer_ring.size))
 
     def solve_adjoint(self, neumann: BoundaryFunction) -> BoundaryFunction:
         # the driver 2(v - u_bar) is band-limited up to roundoff noise;
         # unresolvable user data is already diagnosed by solve_primary
-        series = solve_series(
-            analyze(neumann, self.max_mode, warn_tail=False),
-            FourierBoundary.zero(self.r_inner),
-            self.r_inner,
-            self.r_outer,
+        self._require_ring(neumann, self.outer_ring)
+        modes = self.neumann_gradient * band_coefficients(
+            neumann.values, self.max_mode, warn_tail=False
         )
-        # gradient = -d/dn on the inner circle = +d/dr there
-        return synthesize(series.radial_derivative(self.r_inner), self.inner_ring)
+        return BoundaryFunction(self.inner_ring, band_samples(modes, self.inner_ring.size))
 
     def functional(self, v_trace: BoundaryFunction, u_bar: BoundaryFunction) -> float:
-        """Squared L2 norm of the misfit over the outer circle."""
+        """Squared L2 norm over the outer circle of the misfit's band,
+        2*pi*R * (|a_0|^2 + 2 * sum_{j >= 1} |a_j|^2)."""
+        self._require_ring(v_trace, self.outer_ring)
+        self._require_ring(u_bar, self.outer_ring)
         # near convergence the misfit is pure roundoff, so skip the tail warning
-        misfit = analyze(v_trace - u_bar, self.max_mode, warn_tail=False)
-        return misfit.norm() ** 2
+        misfit = band_coefficients(v_trace.values - u_bar.values, self.max_mode, warn_tail=False)
+        power = np.abs(misfit) ** 2
+        return float(2.0 * math.pi * self.r_outer * (power[0] + 2.0 * power[1:].sum()))
 
 
 def evaluate_functional(
@@ -334,8 +381,9 @@ def run(
     history record with cumulative solve counts; the terminal record
     carries NaN for the step and, unless the gradient threshold fired,
     for the gradient norm. Hitting ``max_iters`` returns a result flagged
-    not converged rather than raising; a functional that keeps increasing
-    under a fixed-step strategy raises ``DivergenceError``.
+    not converged rather than raising; a functional that is not finite, or
+    that keeps increasing under a fixed-step strategy, raises
+    ``DivergenceError``.
     """
     if not rings_compatible(data.u_bar.ring, backend.outer_ring):
         raise ValueError("Cauchy data does not match the backend's outer ring")
@@ -358,6 +406,12 @@ def run(
     for k in range(stop.max_iters + 1):
         j_value, v_trace = evaluate_functional(backend, omega, data, counters)
 
+        if not math.isfinite(j_value):
+            raise DivergenceError(
+                f"functional is not finite at iteration {k} (J = {j_value}); "
+                "the iterates overflowed",
+                history,
+            )
         if j_value > previous_j:
             increases += 1
             if not guard_line_search and increases >= DIVERGENCE_PATIENCE:

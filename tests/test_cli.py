@@ -86,6 +86,14 @@ def test_divergence_exits_two(tmp_path, capsys):
     assert "increas" in capsys.readouterr().err.lower()
 
 
+def test_overflow_exits_two_without_traceback(tmp_path, capsys):
+    cfg = dict(BASE, strategy={"kind": "constant", "rho": 1e200}, output_dir=str(tmp_path / "out"))
+    assert main(["run", write_config(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "not finite" in err
+    assert "Traceback" not in err
+
+
 def test_config_errors_exit_one(tmp_path, capsys):
     missing_strategy = {k: v for k, v in BASE.items() if k != "strategy"}
     assert main(["run", write_config(tmp_path, missing_strategy, "m.json")]) == 1

@@ -2,6 +2,7 @@
 
 import csv
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,11 +16,13 @@ from adjoint_cauchy import (
     DivergenceError,
     ExplicitSchedule,
     FemBackend,
+    FourierBoundary,
     IterationRecord,
     ModeSweep,
     SolveCounters,
     SpectralBackend,
     StopRule,
+    analyze,
     boundary_inner_product,
     builtin_terms,
     cauchy_data,
@@ -29,6 +32,8 @@ from adjoint_cauchy import (
     gradient,
     make_ring,
     run,
+    solve_series,
+    synthesize,
     write_history_csv,
 )
 
@@ -213,3 +218,88 @@ def test_run_rejects_foreign_start(spectral, ex1):
     wrong = BoundaryFunction.zeros(make_ring("inner", 1.0, 32))
     with pytest.raises(ValueError):
         run(spectral, ex1, Constant(0.3), omega0=wrong)
+
+
+def test_non_finite_functional_is_divergence(spectral, ex2):
+    # the second iterate is of order 1e199, so J overflows to inf
+    with pytest.raises(DivergenceError, match="not finite"):
+        run(spectral, ex2, Constant(1e200), StopRule(max_iters=100))
+
+
+def test_cauchy_data_rejects_non_finite_values():
+    ring = make_ring("outer", 3.0, 16)
+    good = BoundaryFunction(ring, np.cos(ring.angles))
+    for bad_value in (math.nan, math.inf):
+        bad = good.copy()
+        bad.values[3] = bad_value
+        with pytest.raises(ValueError, match="u_bar"):
+            CauchyData(bad, good)
+        with pytest.raises(ValueError, match="q_bar"):
+            CauchyData(good, bad)
+
+
+def random_band(ring, max_mode, rng):
+    coeffs = {0: complex(rng.standard_normal(), 0.0)}
+    for j in range(1, max_mode + 1):
+        a = complex(rng.standard_normal(), rng.standard_normal())
+        coeffs[j], coeffs[-j] = a, a.conjugate()
+    return synthesize(FourierBoundary(coeffs, ring.radius), ring)
+
+
+@pytest.mark.parametrize("n_angular, max_mode", [(16, 3), (16, 7), (17, 4), (17, 8)])
+def test_prepared_spectral_solves_match_series_oracle(n_angular, max_mode):
+    """Per-mode responses reproduce the dict-based series solution; 7 and 8
+    are the highest modes that 16 and 17 nodes resolve."""
+    backend = SpectralBackend(R_IN, R_OUT, n_angular=n_angular, max_mode=max_mode)
+    inner, outer = backend.inner_ring, backend.outer_ring
+    rng = np.random.default_rng(n_angular + max_mode)
+    for _ in range(5):
+        omega, q_bar, driver = (random_band(r, max_mode, rng) for r in (inner, outer, outer))
+        series = solve_series(
+            analyze(q_bar, max_mode), analyze(omega, max_mode), R_IN, R_OUT
+        )
+        want = synthesize(series.trace(R_OUT), outer).values
+        got = backend.solve_primary(omega, q_bar).values
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+        series = solve_series(analyze(driver, max_mode), FourierBoundary.zero(R_IN), R_IN, R_OUT)
+        want = synthesize(series.radial_derivative(R_IN), inner).values
+        got = backend.solve_adjoint(driver).values
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+        want_j = analyze(driver - q_bar, max_mode).norm() ** 2
+        assert abs(backend.functional(driver, q_bar) - want_j) <= 1e-13 * want_j
+
+
+def test_prepared_spectral_tail_warning():
+    backend = SpectralBackend(R_IN, R_OUT, n_angular=16, max_mode=3)
+    inner, outer = backend.inner_ring, backend.outer_ring
+    tail_in = BoundaryFunction(inner, np.cos(5 * inner.angles))
+    tail_out = BoundaryFunction(outer, np.cos(5 * outer.angles))
+    band_out = BoundaryFunction(outer, np.cos(outer.angles))
+    with pytest.warns(UserWarning, match="above mode 3"):
+        backend.solve_primary(tail_in, band_out)
+    with pytest.warns(UserWarning, match="above mode 3"):
+        backend.solve_primary(BoundaryFunction.zeros(inner), tail_out)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        backend.solve_adjoint(tail_out)
+        backend.functional(tail_out, band_out)
+
+
+def test_prepared_spectral_rejects_foreign_rings(spectral):
+    inner, outer = spectral.inner_ring, spectral.outer_ring
+    on_inner, on_outer = BoundaryFunction.zeros(inner), BoundaryFunction.zeros(outer)
+    other = BoundaryFunction.zeros(make_ring("outer", R_OUT, 2 * outer.size))
+    shifted = BoundaryFunction.zeros(make_ring("outer", 2.0 * R_OUT, outer.size))
+    for foreign in (other, shifted, on_inner):
+        with pytest.raises(ValueError):
+            spectral.solve_primary(on_inner, foreign)
+        with pytest.raises(ValueError):
+            spectral.solve_adjoint(foreign)
+        with pytest.raises(ValueError):
+            spectral.functional(foreign, on_outer)
+        with pytest.raises(ValueError):
+            spectral.functional(on_outer, foreign)
+    with pytest.raises(ValueError):
+        spectral.solve_primary(on_outer, on_outer)
