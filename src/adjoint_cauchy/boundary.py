@@ -36,7 +36,8 @@ class BoundaryRing:
 
     ``node_ids`` holds the global mesh indices of the ring nodes when the
     ring belongs to a mesh; rings used by the spectral backend carry None.
-    ``chord_lengths`` are computed from the angles once, at construction.
+    ``chord_lengths`` and ``lumped_weights`` are computed from the angles
+    once, at construction.
     """
 
     side: str
@@ -44,6 +45,7 @@ class BoundaryRing:
     angles: Array
     node_ids: Array | None = None
     chord_lengths: Array = field(init=False, repr=False)
+    lumped_weights: Array = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.side not in ("inner", "outer"):
@@ -58,8 +60,11 @@ class BoundaryRing:
         object.__setattr__(self, "angles", angles)
         gaps = np.diff(np.append(angles, angles[0] + 2.0 * np.pi))
         chords = 2.0 * self.radius * np.sin(0.5 * gaps)
+        lumped = 0.5 * (chords + np.roll(chords, 1))
         chords.flags.writeable = False
+        lumped.flags.writeable = False
         object.__setattr__(self, "chord_lengths", chords)
+        object.__setattr__(self, "lumped_weights", lumped)
         if self.node_ids is not None:
             ids = np.asarray(self.node_ids, dtype=int)
             if ids.shape != angles.shape:
@@ -81,7 +86,7 @@ def make_ring(side: str, radius: float, n_angular: int) -> BoundaryRing:
 
 def rings_compatible(a: BoundaryRing, b: BoundaryRing) -> bool:
     """True when functions on the two rings may be combined nodewise."""
-    return (
+    return a is b or (
         a.side == b.side
         and a.size == b.size
         and a.radius == b.radius
@@ -141,8 +146,7 @@ def ring_chord_lengths(ring: BoundaryRing) -> Array:
 
 def ring_lumped_weights(ring: BoundaryRing) -> Array:
     """Per-node weight: half the total length of the two adjacent edges."""
-    h = ring_chord_lengths(ring)
-    return 0.5 * (h + np.roll(h, 1))
+    return ring.lumped_weights
 
 
 def ring_mass_apply(ring: BoundaryRing, values: Array) -> Array:

@@ -2,13 +2,17 @@
 
 On a triangle with vertices p1, p2, p3 and area A the P1 stiffness is
 (b b^T + c c^T) / (4 A) with b = (y2-y3, y3-y1, y1-y2) and
-c = (x3-x2, x1-x3, x2-x1). The mixed boundary value problem carries
-Neumann data on the outer circle and Dirichlet data on the inner one. The
-mesh is invariant under rotation by one angular step, so the stiffness is
-block tridiagonal in radius with circulant blocks. An FFT in angle splits
-the Dirichlet-reduced system into one tridiagonal system over the free
-radius levels per angular mode, which ``FourierSolver`` solves once per
-mesh: the Fourier fast Poisson solver (Hockney 1965, Swarztrauber 1977).
+c = (x3-x2, x1-x3, x2-x1). The mesh is invariant under rotation by one
+angular step, so the stiffness is block tridiagonal in radius with
+circulant blocks, and each radius level's row is one three-by-three
+stencil over (radial offset, angular offset). ``assemble_stiffness``
+returns these stencils, one per level, summed from the local blocks of
+each node's six triangles; no global matrix is formed. The mixed boundary
+value problem carries Neumann data on the outer circle and Dirichlet data
+on the inner one. An FFT in angle splits the Dirichlet-reduced system into
+one tridiagonal system over the free radius levels per angular mode,
+which ``FourierSolver`` solves once per mesh: the Fourier fast Poisson
+solver (Hockney 1965, Swarztrauber 1977).
 
 The outward normal flux on the inner circle is recovered variationally:
 for a discrete solution whose load vanishes at inner-ring nodes, the
@@ -22,7 +26,6 @@ of the discrete functional exact up to rounding.
 from __future__ import annotations
 
 import numpy as np
-from scipy import sparse
 
 from .boundary import (
     BoundaryFunction,
@@ -31,7 +34,7 @@ from .boundary import (
     ring_mass_apply,
     rings_compatible,
 )
-from .mesh import AnnulusMesh
+from .mesh import AnnulusMesh, structured_triangles
 
 Array = np.ndarray
 
@@ -39,6 +42,8 @@ __all__ = [
     "FourierSolver",
     "SolverError",
     "assemble_stiffness",
+    "flux_rows",
+    "local_stiffness",
     "neumann_load",
     "solve_mixed_bvp",
     "trace",
@@ -49,31 +54,63 @@ __all__ = [
 # entry, that counts as rounding; generated meshes deviate by about 5e-14.
 ROTATION_RTOL = 1e-10
 
+# (radial, angular) offset from quad (i, j) of each corner of its lower and
+# upper triangle, in the vertex order of ``structured_triangles``
+_CORNERS = (((0, 0), (1, 0), (1, 1)), ((0, 0), (1, 1), (0, 1)))
+
 
 class SolverError(RuntimeError):
     """A mixed solve produced a non-finite field, as non-finite data do."""
 
 
-def assemble_stiffness(mesh: AnnulusMesh) -> sparse.csr_matrix:
-    """Global P1 stiffness matrix of the Laplace operator on ``mesh``."""
-    tris = mesh.triangles
-    x = mesh.nodes[tris, 0]
-    y = mesh.nodes[tris, 1]
-    b = y[:, [1, 2, 0]] - y[:, [2, 0, 1]]
-    c = x[:, [2, 0, 1]] - x[:, [1, 2, 0]]
-    area2 = x[:, 0] * b[:, 0] + x[:, 1] * b[:, 1] + x[:, 2] * b[:, 2]
+def local_stiffness(mesh: AnnulusMesh) -> Array:
+    """P1 stiffness block of each triangle, shape ``(n_triangles, 3, 3)``,
+    in the vertex order of ``mesh.triangles``."""
+    tris = mesh.triangles.T
+    x = mesh.nodes[:, 0][tris]
+    y = mesh.nodes[:, 1][tris]
+    b = [y[(p + 1) % 3] - y[(p + 2) % 3] for p in range(3)]
+    c = [x[(p + 2) % 3] - x[(p + 1) % 3] for p in range(3)]
+    area2 = x[0] * b[0] + x[1] * b[1] + x[2] * b[2]
     if np.any(area2 <= 0.0):
         raise ValueError("mesh contains a degenerate or inverted triangle")
 
-    local = (b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :]) / (
-        2.0 * area2
-    )[:, None, None]
-    rows = tris[:, [0, 0, 0, 1, 1, 1, 2, 2, 2]].ravel()
-    cols = tris[:, [0, 1, 2, 0, 1, 2, 0, 1, 2]].ravel()
-    n = mesh.n_nodes
-    return sparse.coo_matrix(
-        (local.reshape(-1), (rows, cols)), shape=(n, n)
-    ).tocsr()
+    # stored vertex pair first and filled pair by pair, so that no
+    # temporary of the whole array's size is formed
+    four_area = 2.0 * area2
+    local = np.empty((3, 3, tris.shape[1]))
+    for i in range(3):
+        for j in range(i, 3):
+            local[i, j] = local[j, i] = (b[i] * b[j] + c[i] * c[j]) / four_area
+    return local.transpose(2, 0, 1)
+
+
+def assemble_stiffness(mesh: AnnulusMesh) -> Array:
+    """Per-level stencils of the P1 stiffness of the Laplace operator.
+
+    Entry ``[i, s + 1, t + 1]`` couples a node of radius level i to the node
+    s levels further out and t angular steps on. Each node's row is summed
+    from the local blocks of its six triangles. Raises ``ValueError`` unless
+    the mesh has the structured connectivity and every node's row equals
+    the others of its level to ``ROTATION_RTOL`` of the largest entry.
+    """
+    n_radial, n_angular = mesh.spec.n_radial, mesh.spec.n_angular
+    if not np.array_equal(mesh.triangles, structured_triangles(n_radial, n_angular)):
+        raise ValueError("mesh triangles are not the structured connectivity")
+    # vertex pair, lower or upper, quad level, quad position
+    blocks = local_stiffness(mesh).transpose(1, 2, 0).reshape(3, 3, 2, n_radial, n_angular)
+    # radial offset, angular offset, node level, node position
+    rows = np.zeros((3, 3, n_radial + 1, n_angular))
+    for t, corners in enumerate(_CORNERS):
+        for p, (pi, pj) in enumerate(corners):
+            for q, (qi, qj) in enumerate(corners):
+                # corner p of quad (i, j) is node (i + pi, j + pj)
+                rows[qi - pi + 1, qj - pj + 1, pi : pi + n_radial] += np.roll(
+                    blocks[p, q, t], pj, axis=1
+                )
+    if np.ptp(rows, axis=3).max() > ROTATION_RTOL * max(rows.max(), -rows.min()):
+        raise ValueError("stiffness rows are not invariant under rotation by one angular step")
+    return rows[..., 0].transpose(2, 0, 1).copy()
 
 
 def _require_mesh_ring(mesh: AnnulusMesh, ring: BoundaryRing) -> None:
@@ -102,32 +139,24 @@ class FourierSolver:
     solution is ``dirichlet_response`` times the Dirichlet data plus
     ``neumann_response`` times the outer load. Both are found once, by
     substitution through each mode's tridiagonal system, and indexed by
-    free level (row f is level f + 1) and mode ``0..n_angular//2``. Raises
-    ``ValueError`` unless the stiffness couples adjacent levels only and
-    commutes with rotation by one angular step.
+    free level (row f is level f + 1) and mode ``0..n_angular//2``.
+    ``stencils`` are those of ``assemble_stiffness(mesh)``, which is called
+    when none are given.
     """
 
-    def __init__(self, mesh: AnnulusMesh, stiffness: sparse.csr_matrix | None = None):
-        matrix = assemble_stiffness(mesh) if stiffness is None else stiffness
+    def __init__(self, mesh: AnnulusMesh, stencils: Array | None = None):
         n_radial, n_angular = mesh.spec.n_radial, mesh.spec.n_angular
-        # node j + 1 of each level, for every node j
-        rotated = np.roll(np.arange(mesh.n_nodes).reshape(-1, n_angular), -1, axis=1).ravel()
-        rows = matrix[::n_angular].tocoo()
-        col_level, col_pos = np.divmod(rows.col, n_angular)
-        step = col_level - rows.row
-        if (
-            matrix.shape != (mesh.n_nodes,) * 2
-            or np.abs(step).max() > 1
-            or abs(matrix[rotated][:, rotated] - matrix).max()
-            > ROTATION_RTOL * abs(matrix).max()
-        ):
-            raise ValueError("stiffness is not block tridiagonal with rotation-invariant blocks")
-        stencils = np.zeros((3, n_radial + 1, n_angular))  # below, diagonal, above
-        stencils[step + 1, rows.row, col_pos] = rows.data
+        if stencils is None:
+            stencils = assemble_stiffness(mesh)
+        elif stencils.shape != (n_radial + 1, 3, 3):
+            raise ValueError("expected one 3x3 stencil per radius level")
 
         # a circulant with stencil s maps x to sum_t s[t] x[j + t], which
-        # multiplies angular mode k by conj(fft(s))[k]
-        lower, pivots, upper = np.conj(np.fft.rfft(stencils[:, 1:], axis=2))
+        # multiplies angular mode k by sum_t s[t] exp(2 pi i k t / n_angular)
+        phase = np.exp(2j * np.pi * np.arange(n_angular // 2 + 1) / n_angular)
+        free = stencils[1:, :, :, None]
+        symbols = free[:, :, 0] * np.conj(phase) + free[:, :, 1] + free[:, :, 2] * phase
+        lower, pivots, upper = np.moveaxis(symbols, 1, 0)  # below, diagonal, above
         response = np.zeros((n_radial, 2, pivots.shape[1]), dtype=complex)
         response[0, 0] = -lower[0]
         response[-1, 1] = 1.0
@@ -182,10 +211,27 @@ def trace(field: Array, ring: BoundaryRing) -> BoundaryFunction:
     return BoundaryFunction(ring, np.asarray(field, dtype=float)[ring.node_ids].copy())
 
 
+def flux_rows(mesh: AnnulusMesh, stencils: Array | None = None) -> tuple[Array, Array]:
+    """Inner-ring rows of the stiffness, divided by the lumped ring weights.
+
+    Returns node ids and weights, both of shape ``(n_angular, 6)``: for
+    inner node j, the nodes of levels 0 and 1 at angular positions j - 1,
+    j and j + 1, and level 0's stencil entries for them divided by node j's
+    lumped weight. ``stencils`` default to ``assemble_stiffness(mesh)``.
+    """
+    if stencils is None:
+        stencils = assemble_stiffness(mesh)
+    n_angular = mesh.spec.n_angular
+    positions = (np.arange(n_angular)[:, None] + np.arange(-1, 2)) % n_angular
+    ids = np.hstack((positions, positions + n_angular))
+    weights = stencils[0, 1:].ravel() / ring_lumped_weights(mesh.inner_ring)[:, None]
+    return ids, weights
+
+
 def normal_flux(
     field: Array,
     mesh: AnnulusMesh,
-    inner_rows: sparse.csr_matrix | None = None,
+    inner_rows: tuple[Array, Array] | None = None,
 ) -> BoundaryFunction:
     """Outward normal derivative of a solution on the inner ring.
 
@@ -193,11 +239,9 @@ def normal_flux(
     at inner-ring nodes, so the stiffness residual there is the ring mass
     applied to the flux. The residual divided by the lumped ring weights
     is the nodal flux, with the normal pointing out of the annulus
-    (toward the origin). ``inner_rows`` are the stiffness rows of the
-    inner-ring nodes; pass them to reuse one slice across calls.
+    (toward the origin). ``inner_rows`` are ``flux_rows(mesh)``; pass them
+    to reuse one preparation across calls.
     """
-    ring = mesh.inner_ring
-    if inner_rows is None:
-        inner_rows = assemble_stiffness(mesh)[ring.node_ids]
-    residual = inner_rows @ np.asarray(field, dtype=float)
-    return BoundaryFunction(ring, residual / ring_lumped_weights(ring))
+    ids, weights = flux_rows(mesh) if inner_rows is None else inner_rows
+    values = np.asarray(field, dtype=float)[ids]
+    return BoundaryFunction(mesh.inner_ring, np.einsum("ij,ij->i", values, weights))

@@ -10,8 +10,8 @@ guess against the recovered gradient:
 Both backends expose the same three operations and prepare a per-mode
 response once, at construction, so that each solve is an ``rfft``, a
 product per mode and an ``irfft``. The finite element one works on a mesh
-and reads its responses off the stiffness; the spectral one takes them
-from the closed-form series solution, for the three maps it needs
+and reads its responses off the stiffness stencils; the spectral one takes
+them from the closed-form series solution, for the three maps it needs
 (Dirichlet data to outer trace, Neumann data to outer trace, Neumann data
 to the gradient on the inner circle), and is exact up to the analysis band.
 Each main-path iteration costs exactly one primary and one adjoint solve;
@@ -38,7 +38,14 @@ from .boundary import (
     ring_mass_apply,
     rings_compatible,
 )
-from .fem import FourierSolver, assemble_stiffness, normal_flux, solve_mixed_bvp, trace
+from .fem import (
+    FourierSolver,
+    assemble_stiffness,
+    flux_rows,
+    normal_flux,
+    solve_mixed_bvp,
+    trace,
+)
 from .fourier import band_coefficients, band_samples
 from .mesh import AnnulusMesh
 from .spectral import DEFAULT_BAND_CAP, FourierBoundary, solve_series
@@ -168,17 +175,17 @@ class Backend(Protocol):
 class FemBackend:
     """Finite element solves on a fixed annulus mesh.
 
-    The stiffness matrix is assembled, its inner-ring rows (which recover
-    the flux) sliced and the direct solver prepared once at construction;
-    everything else is recomputed per call, so instances are safe to share
-    between concurrent runs.
+    The stiffness stencils are assembled, and from them the direct solver
+    and the inner-ring rows that recover the flux are prepared once, at
+    construction; everything else is recomputed per call, so instances are
+    safe to share between concurrent runs.
     """
 
     def __init__(self, mesh: AnnulusMesh):
         self.mesh = mesh
-        self.stiffness = assemble_stiffness(mesh)
-        self.solver = FourierSolver(mesh, self.stiffness)
-        self.inner_rows = self.stiffness[mesh.inner_ring.node_ids]
+        stencils = assemble_stiffness(mesh)
+        self.solver = FourierSolver(mesh, stencils)
+        self.inner_rows = flux_rows(mesh, stencils)
         self.inner_ring = mesh.inner_ring
         self.outer_ring = mesh.outer_ring
         self.r_inner = mesh.spec.r_inner
@@ -205,10 +212,12 @@ class FemBackend:
         """Piecewise-linear boundary quadrature of |v - u_bar|^2.
 
         Uses the same ring mass as the Neumann load, so the adjoint
-        gradient differentiates exactly this discrete value.
+        gradient differentiates exactly this discrete value. An overflow
+        gives a non-finite value silently; ``run`` raises on it.
         """
-        misfit = v_trace.values - u_bar.values
-        return float(misfit @ ring_mass_apply(self.outer_ring, misfit))
+        with np.errstate(over="ignore", invalid="ignore"):
+            misfit = v_trace.values - u_bar.values
+            return float(misfit @ ring_mass_apply(self.outer_ring, misfit))
 
 
 class SpectralBackend:
@@ -286,13 +295,17 @@ class SpectralBackend:
 
     def functional(self, v_trace: BoundaryFunction, u_bar: BoundaryFunction) -> float:
         """Squared L2 norm over the outer circle of the misfit's band,
-        2*pi*R * (|a_0|^2 + 2 * sum_{j >= 1} |a_j|^2)."""
+        2*pi*R * (|a_0|^2 + 2 * sum_{j >= 1} |a_j|^2). An overflow gives a
+        non-finite value silently; ``run`` raises on it."""
         self._require_ring(v_trace, self.outer_ring)
         self._require_ring(u_bar, self.outer_ring)
-        # near convergence the misfit is pure roundoff, so skip the tail warning
-        misfit = band_coefficients(v_trace.values - u_bar.values, self.max_mode, warn_tail=False)
-        power = np.abs(misfit) ** 2
-        return float(2.0 * math.pi * self.r_outer * (power[0] + 2.0 * power[1:].sum()))
+        with np.errstate(over="ignore", invalid="ignore"):
+            # near convergence the misfit is pure roundoff, so skip the tail warning
+            misfit = band_coefficients(
+                v_trace.values - u_bar.values, self.max_mode, warn_tail=False
+            )
+            power = np.abs(misfit) ** 2
+            return float(2.0 * math.pi * self.r_outer * (power[0] + 2.0 * power[1:].sum()))
 
 
 def evaluate_functional(

@@ -27,6 +27,7 @@ __all__ = [
     "AnnulusSpec",
     "AnnulusMesh",
     "generate_mesh",
+    "structured_triangles",
     "boundary_ring",
     "triangle_areas",
     "dump_mesh_csv",
@@ -82,23 +83,28 @@ def generate_mesh(spec: AnnulusSpec) -> AnnulusMesh:
     r_grid = np.repeat(radii, na)
     t_grid = np.tile(theta, nr + 1)
     nodes = np.column_stack((r_grid * np.cos(t_grid), r_grid * np.sin(t_grid)))
-
-    # Quad (i, j) has corners a=(i,j), b=(i,j+1), c=(i+1,j), d=(i+1,j+1);
-    # both triangles use the a-d diagonal and are counterclockwise.
-    i = np.repeat(np.arange(nr), na)
-    j = np.tile(np.arange(na), nr)
-    jp = (j + 1) % na
-    a = i * na + j
-    b = i * na + jp
-    c = (i + 1) * na + j
-    d = (i + 1) * na + jp
-    lower = np.column_stack((a, c, d))
-    upper = np.column_stack((a, d, b))
-    triangles = np.vstack((lower, upper)).astype(np.int64)
+    triangles = structured_triangles(nr, na)
 
     inner_ring = BoundaryRing("inner", spec.r_inner, theta.copy(), np.arange(na))
     outer_ring = BoundaryRing("outer", spec.r_outer, theta.copy(), nr * na + np.arange(na))
     return AnnulusMesh(spec, nodes, triangles, t_grid, inner_ring, outer_ring)
+
+
+def structured_triangles(n_radial: int, n_angular: int) -> Array:
+    """Connectivity of the structured grid: the lower triangles of every
+    quad, then the upper ones, quads in node order.
+
+    Quad (i, j) has corners a=(i,j), b=(i,j+1), c=(i+1,j), d=(i+1,j+1);
+    both triangles use the a-d diagonal and are counterclockwise: lower
+    (a, c, d) and upper (a, d, b).
+    """
+    a = np.arange(n_radial * n_angular, dtype=np.int64).reshape(n_radial, n_angular)
+    b = np.roll(a, -1, axis=1)
+    c = a + n_angular
+    d = b + n_angular
+    lower = np.stack((a, c, d), axis=-1)
+    upper = np.stack((a, d, b), axis=-1)
+    return np.stack((lower, upper)).reshape(-1, 3)
 
 
 def boundary_ring(mesh: AnnulusMesh, side: str) -> BoundaryRing:

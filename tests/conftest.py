@@ -1,3 +1,6 @@
+import os
+from pathlib import Path
+
 import pytest
 
 from adjoint_cauchy import AnnulusSpec, FemBackend, generate_mesh
@@ -15,3 +18,11 @@ def default_mesh():
 @pytest.fixture(scope="session")
 def fem_default(default_mesh):
     return FemBackend(default_mesh)
+
+
+@pytest.fixture(scope="session")
+def src_env():
+    """Environment for a subprocess that imports the package from this checkout."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return dict(os.environ, PYTHONPATH=path)

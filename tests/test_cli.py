@@ -1,6 +1,8 @@
 """Experiment front end: configs, outputs, exit codes."""
 
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -92,6 +94,19 @@ def test_overflow_exits_two_without_traceback(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "not finite" in err
     assert "Traceback" not in err
+
+
+def test_overflow_stderr_holds_no_runtime_warning(tmp_path, src_env):
+    cfg = dict(BASE, strategy={"kind": "constant", "rho": 1e200}, output_dir=str(tmp_path / "out"))
+    done = subprocess.run(
+        [sys.executable, "-m", "adjoint_cauchy.cli", "run", write_config(tmp_path, cfg)],
+        env=src_env,
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 2
+    assert "not finite" in done.stderr
+    assert "RuntimeWarning" not in done.stderr
 
 
 def test_config_errors_exit_one(tmp_path, capsys):

@@ -2,11 +2,14 @@
 
 import dataclasses
 import math
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy import sparse
 from scipy.sparse.linalg import spsolve
 
 from adjoint_cauchy import (
@@ -27,32 +30,56 @@ from adjoint_cauchy import (
     trace,
 )
 from adjoint_cauchy import iteration
+from adjoint_cauchy.fem import flux_rows, local_stiffness
+
+
+def sparse_stiffness(mesh):
+    """Reference global stiffness: every triangle's local block scattered
+    into a sparse matrix, with no use of the mesh's structure."""
+    rows = np.repeat(mesh.triangles, 3, axis=1).ravel()
+    cols = np.tile(mesh.triangles, 3).ravel()
+    shape = (mesh.n_nodes, mesh.n_nodes)
+    return sparse.coo_matrix((local_stiffness(mesh).ravel(), (rows, cols)), shape=shape).tocsr()
+
+
+def stencil_matrix(mesh, stencils):
+    """Global matrix whose every node's row is its level's stencil."""
+    nr, na = mesh.spec.n_radial, mesh.spec.n_angular
+    level, pos, s, t = np.meshgrid(
+        np.arange(nr + 1), np.arange(na), np.arange(-1, 2), np.arange(-1, 2), indexing="ij"
+    )
+    keep = (level + s >= 0) & (level + s <= nr)
+    rows = level * na + pos
+    cols = (level + s) * na + (pos + t) % na
+    values = np.broadcast_to(stencils[:, None], level.shape)
+    shape = (mesh.n_nodes, mesh.n_nodes)
+    return sparse.coo_matrix((values[keep], (rows[keep], cols[keep])), shape=shape).tocsr()
 
 
 def _single_triangle(points):
-    # assemble_stiffness only reads nodes / triangles / n_nodes
+    # the reference assembler only reads nodes / triangles / n_nodes
     nodes = np.asarray(points, dtype=float)
     return SimpleNamespace(nodes=nodes, triangles=np.array([[0, 1, 2]]), n_nodes=3)
 
 
 def test_unit_triangle_stiffness():
     mesh = _single_triangle([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
-    k = assemble_stiffness(mesh).toarray()
+    k = sparse_stiffness(mesh).toarray()
     expected = np.array([[1.0, -0.5, -0.5], [-0.5, 0.5, 0.0], [-0.5, 0.0, 0.5]])
     assert_allclose(k, expected, atol=1e-15)
 
 
 def test_degenerate_triangle_rejected():
     with pytest.raises(ValueError):
-        assemble_stiffness(_single_triangle([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)]))
+        local_stiffness(_single_triangle([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)]))
     # clockwise orientation is an inverted element here
     with pytest.raises(ValueError):
-        assemble_stiffness(_single_triangle([(0.0, 0.0), (0.0, 1.0), (1.0, 0.0)]))
+        local_stiffness(_single_triangle([(0.0, 0.0), (0.0, 1.0), (1.0, 0.0)]))
 
 
 def test_stiffness_symmetric_psd_zero_rowsums():
     mesh = generate_mesh(AnnulusSpec(1.0, 3.0, 4, 24))
-    k = assemble_stiffness(mesh)
+    k = sparse_stiffness(mesh)
     dense = k.toarray()
     assert_allclose(dense, dense.T, atol=1e-14)
     scale = np.abs(dense).max()
@@ -61,6 +88,44 @@ def test_stiffness_symmetric_psd_zero_rowsums():
     for _ in range(5):
         u = rng.standard_normal(mesh.n_nodes)
         assert u @ (k @ u) >= -1e-12 * scale * (u @ u)
+
+
+@pytest.mark.parametrize("n_radial, n_angular", [(1, 3), (2, 7), (3, 4), (12, 64), (27, 160)])
+def test_every_row_equals_its_level_stencil(n_radial, n_angular):
+    mesh = generate_mesh(AnnulusSpec(1.0, 3.0, n_radial, n_angular))
+    stencils = assemble_stiffness(mesh)
+    assert stencils.shape == (n_radial + 1, 3, 3)
+    # no level below the inner ring or above the outer one
+    assert not stencils[0, 0].any() and not stencils[-1, 2].any()
+    k = sparse_stiffness(mesh)
+    assert abs(k - stencil_matrix(mesh, stencils)).max() <= 1e-13 * abs(k).max()
+
+
+def test_flux_rows_are_the_inner_rows_over_lumped_weights():
+    mesh = generate_mesh(AnnulusSpec(1.0, 3.0, 3, 16))
+    field = np.random.default_rng(3).standard_normal(mesh.n_nodes)
+    ring = mesh.inner_ring
+    want = (sparse_stiffness(mesh)[ring.node_ids] @ field) / ring.lumped_weights
+    got = normal_flux(field, mesh, inner_rows=flux_rows(mesh))
+    assert np.abs(got.values - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_unstructured_connectivity_rejected():
+    mesh = generate_mesh(AnnulusSpec(1.0, 3.0, 3, 16))
+    reordered = mesh.triangles[::-1].copy()
+    cycled = mesh.triangles.copy()
+    cycled[5] = np.roll(cycled[5], 1)  # same triangle and orientation
+    for triangles in (reordered, cycled):
+        with pytest.raises(ValueError, match="structured"):
+            FemBackend(dataclasses.replace(mesh, triangles=triangles))
+
+
+def test_package_import_leaves_out_scipy(src_env):
+    code = "import sys, adjoint_cauchy; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=src_env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "[]"
 
 
 def test_neumann_load_constant():
@@ -199,7 +264,7 @@ def test_solve_matches_sparse_direct_solve(n_radial, n_angular):
     w = BoundaryFunction(mesh.inner_ring, rng.standard_normal(n_angular))
     got = solve_mixed_bvp(mesh, q, w, solver=FourierSolver(mesh))
 
-    k = assemble_stiffness(mesh)
+    k = sparse_stiffness(mesh)
     fixed = mesh.inner_ring.node_ids
     free = np.ones(mesh.n_nodes, dtype=bool)
     free[fixed] = False
@@ -267,3 +332,6 @@ def test_solve_ring_validation():
             BoundaryFunction.zeros(mesh.inner_ring),
             solver=other,
         )
+    # stencils of a mesh with another number of radius levels
+    with pytest.raises(ValueError):
+        FourierSolver(mesh, assemble_stiffness(generate_mesh(AnnulusSpec(1.0, 3.0, 3, 8))))

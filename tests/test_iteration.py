@@ -226,6 +226,19 @@ def test_non_finite_functional_is_divergence(spectral, ex2):
         run(spectral, ex2, Constant(1e200), StopRule(max_iters=100))
 
 
+@pytest.mark.parametrize("backend_kind", ["fem", "spectral"])
+def test_overflow_raises_divergence_without_runtime_warning(backend_kind):
+    if backend_kind == "fem":
+        backend = FemBackend(generate_mesh(AnnulusSpec(R_IN, R_OUT, 3, 16)))
+    else:
+        backend = SpectralBackend(R_IN, R_OUT, n_angular=16)
+    data = cauchy_data(builtin_terms("example2"), backend.outer_ring)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DivergenceError, match="not finite"):
+            run(backend, data, Constant(1e200), StopRule(max_iters=100))
+
+
 def test_cauchy_data_rejects_non_finite_values():
     ring = make_ring("outer", 3.0, 16)
     good = BoundaryFunction(ring, np.cos(ring.angles))
