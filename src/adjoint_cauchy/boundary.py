@@ -22,8 +22,6 @@ __all__ = [
     "BoundaryFunction",
     "make_ring",
     "rings_compatible",
-    "ring_chord_lengths",
-    "ring_lumped_weights",
     "ring_mass_apply",
     "boundary_inner_product",
     "boundary_norm",
@@ -36,8 +34,9 @@ class BoundaryRing:
 
     ``node_ids`` holds the global mesh indices of the ring nodes when the
     ring belongs to a mesh; rings used by the spectral backend carry None.
-    ``chord_lengths`` and ``lumped_weights`` are computed from the angles
-    once, at construction.
+    ``chord_lengths[i]`` is the length of the polygon edge from node i to
+    node i+1 (cyclic) and ``lumped_weights[i]`` half the total length of
+    the two edges at node i; both are computed once, at construction.
     """
 
     side: str
@@ -139,16 +138,6 @@ class BoundaryFunction:
         return BoundaryFunction(self.ring, -self.values)
 
 
-def ring_chord_lengths(ring: BoundaryRing) -> Array:
-    """Length of each polygon edge; edge i joins node i to node i+1 (cyclic)."""
-    return ring.chord_lengths
-
-
-def ring_lumped_weights(ring: BoundaryRing) -> Array:
-    """Per-node weight: half the total length of the two adjacent edges."""
-    return ring.lumped_weights
-
-
 def ring_mass_apply(ring: BoundaryRing, values: Array) -> Array:
     """Apply the ring's piecewise-linear mass matrix to nodal values.
 
@@ -156,7 +145,7 @@ def ring_mass_apply(ring: BoundaryRing, values: Array) -> Array:
     so the result is the weak-form load of a piecewise-linear line density.
     """
     v = np.asarray(values, dtype=float)
-    h = ring_chord_lengths(ring)
+    h = ring.chord_lengths
     nxt = np.roll(v, -1)
     to_first = h * (2.0 * v + nxt) / 6.0
     to_second = h * (v + 2.0 * nxt) / 6.0
@@ -167,8 +156,7 @@ def boundary_inner_product(f: BoundaryFunction, g: BoundaryFunction) -> float:
     """Trapezoidal line integral of f*g over the ring polygon."""
     if not rings_compatible(f.ring, g.ring):
         raise ValueError("inner product requires functions on the same ring")
-    w = ring_lumped_weights(f.ring)
-    return float(np.dot(w, f.values * g.values))
+    return float(np.dot(f.ring.lumped_weights, f.values * g.values))
 
 
 def boundary_norm(f: BoundaryFunction) -> float:

@@ -30,7 +30,6 @@ import numpy as np
 from .boundary import (
     BoundaryFunction,
     BoundaryRing,
-    ring_lumped_weights,
     ring_mass_apply,
     rings_compatible,
 )
@@ -224,7 +223,7 @@ def flux_rows(mesh: AnnulusMesh, stencils: Array | None = None) -> tuple[Array, 
     n_angular = mesh.spec.n_angular
     positions = (np.arange(n_angular)[:, None] + np.arange(-1, 2)) % n_angular
     ids = np.hstack((positions, positions + n_angular))
-    weights = stencils[0, 1:].ravel() / ring_lumped_weights(mesh.inner_ring)[:, None]
+    weights = stencils[0, 1:].ravel() / mesh.inner_ring.lumped_weights[:, None]
     return ids, weights
 
 

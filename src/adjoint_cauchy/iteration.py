@@ -16,7 +16,9 @@ them from the closed-form series solution, for the three maps it needs
 to the gradient on the inner circle), and is exact up to the analysis band.
 Each main-path iteration costs exactly one primary and one adjoint solve;
 line-search trials are counted separately so solver budgets of different
-step strategies can be compared.
+step strategies can be compared. ``run`` asks a fixed-step rule for its
+``step_size``; an ``Armijo`` rule instead gets its step from
+``steps.armijo_step``, whose trials are extra primary solves.
 """
 
 from __future__ import annotations
@@ -340,47 +342,6 @@ def gradient(
     return grad
 
 
-def _choose_step(
-    strategy: step_rules.StepStrategy,
-    k: int,
-    backend: Backend,
-    data: CauchyData,
-    omega: BoundaryFunction,
-    grad: BoundaryFunction,
-    j_value: float,
-    grad_norm_sq: float,
-    counters: SolveCounters,
-) -> float:
-    match strategy:
-        case step_rules.Constant(rho=rho):
-            return rho
-        case step_rules.Armijo(xi=xi, tau=tau):
-
-            def evaluate(beta: float) -> float:
-                candidate_trace = backend.solve_primary(omega - beta * grad, data.q_bar)
-                counters.line_search += 1
-                return backend.functional(candidate_trace, data.u_bar)
-
-            rho, _ = step_rules.armijo_step(evaluate, j_value, grad_norm_sq, xi, tau)
-            return rho
-        case step_rules.OptimalTwoMode(mode_min=lo, mode_max=hi):
-            return step_rules.optimal_step(lo, hi, backend.r_inner, backend.r_outer)[0]
-        case step_rules.ModeSweep(
-            mode_min=lo, mode_max=hi, direction=direction, tail_rho=tail
-        ):
-            return step_rules.sweep_step(
-                k, lo, hi, direction, backend.r_inner, backend.r_outer, tail
-            )
-        case step_rules.ExplicitSchedule(rhos=rhos, tail_rho=tail):
-            if k < len(rhos):
-                return rhos[k]
-            if tail is not None:
-                return tail
-            return step_rules.default_tail_rho(backend.r_inner, backend.r_outer)
-        case _:
-            raise TypeError(f"unknown step strategy: {strategy!r}")
-
-
 def run(
     backend: Backend,
     data: CauchyData,
@@ -409,7 +370,7 @@ def run(
 
     counters = SolveCounters()
     history: list[IterationRecord] = []
-    guard_line_search = isinstance(strategy, step_rules.Armijo)
+    line_search = isinstance(strategy, step_rules.Armijo)
     previous_j = math.inf
     increases = 0
     iterations = 0
@@ -427,7 +388,7 @@ def run(
             )
         if j_value > previous_j:
             increases += 1
-            if not guard_line_search and increases >= DIVERGENCE_PATIENCE:
+            if not line_search and increases >= DIVERGENCE_PATIENCE:
                 raise DivergenceError(
                     f"functional increased for {increases} consecutive iterations "
                     f"(J = {j_value:.6e}); the step size exceeds the stable range",
@@ -454,9 +415,18 @@ def run(
             converged, reason = True, "grad_eps"
             break
 
-        rho = _choose_step(
-            strategy, k, backend, data, omega, grad, j_value, grad_norm**2, counters
-        )
+        if line_search:
+
+            def evaluate(beta: float) -> float:
+                candidate_trace = backend.solve_primary(omega - beta * grad, data.q_bar)
+                counters.line_search += 1
+                return backend.functional(candidate_trace, data.u_bar)
+
+            rho, _ = step_rules.armijo_step(
+                evaluate, j_value, grad_norm**2, strategy.xi, strategy.tau
+            )
+        else:
+            rho = strategy.step_size(k, backend.r_inner, backend.r_outer)
         omega = omega - rho * grad
         history.append(_record(k, j_value, grad_norm, rho, counters))
         iterations += 1

@@ -28,7 +28,6 @@ __all__ = [
     "AnnulusMesh",
     "generate_mesh",
     "structured_triangles",
-    "boundary_ring",
     "triangle_areas",
     "dump_mesh_csv",
 ]
@@ -105,14 +104,6 @@ def structured_triangles(n_radial: int, n_angular: int) -> Array:
     lower = np.stack((a, c, d), axis=-1)
     upper = np.stack((a, d, b), axis=-1)
     return np.stack((lower, upper)).reshape(-1, 3)
-
-
-def boundary_ring(mesh: AnnulusMesh, side: str) -> BoundaryRing:
-    if side == "inner":
-        return mesh.inner_ring
-    if side == "outer":
-        return mesh.outer_ring
-    raise ValueError(f"side must be 'inner' or 'outer', got {side!r}")
 
 
 def triangle_areas(mesh: AnnulusMesh) -> Array:

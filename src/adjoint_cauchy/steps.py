@@ -1,16 +1,19 @@
 """Step size strategies for the boundary descent iteration.
 
-Five interchangeable rules:
+Five interchangeable rules. Four of them fix the step of iteration k in
+advance, and each answers ``step_size(k, r_inner, r_outer)`` itself:
 
 * ``Constant``: one fixed step.
-* ``Armijo``: backtracking line search with the sufficient decrease test
-  J(omega - beta*grad) <= J - xi*beta*||grad||^2, starting at beta = 1.
 * ``OptimalTwoMode``: the constant step 2 / (C_M + C_N) that minimizes the
   worst-case contraction over a band of error modes.
 * ``ModeSweep``: rho_k = 1 / C_m visiting each band mode once, which in
   exact arithmetic removes one error mode per iteration; after the band is
   exhausted it falls back to a tail step.
 * ``ExplicitSchedule``: a literal step list with the same kind of tail.
+
+The fifth, ``Armijo``, depends on the functional along the descent ray, so
+``run`` drives ``armijo_step``: backtracking with the sufficient decrease
+test J(omega - beta*grad) <= J - xi*beta*||grad||^2, starting at beta = 1.
 
 C_m is the per-mode gradient factor of the annulus, strictly decreasing
 in m, so 1 / C_m grows with the mode index and a "descending" sweep
@@ -35,7 +38,6 @@ __all__ = [
     "MAX_BACKTRACKS",
     "armijo_step",
     "optimal_step",
-    "sweep_step",
     "default_tail_rho",
 ]
 
@@ -53,6 +55,9 @@ class Constant:
     def __post_init__(self):
         if not self.rho > 0.0:
             raise ValueError("constant step size must be positive")
+
+    def step_size(self, k: int, r_inner: float, r_outer: float) -> float:
+        return self.rho
 
 
 @dataclass(frozen=True)
@@ -76,6 +81,9 @@ class OptimalTwoMode:
         if not 0 <= self.mode_min <= self.mode_max:
             raise ValueError("band must satisfy 0 <= mode_min <= mode_max")
 
+    def step_size(self, k: int, r_inner: float, r_outer: float) -> float:
+        return optimal_step(self.mode_min, self.mode_max, r_inner, r_outer)[0]
+
 
 @dataclass(frozen=True)
 class ModeSweep:
@@ -92,6 +100,18 @@ class ModeSweep:
         if self.tail_rho is not None and not self.tail_rho > 0.0:
             raise ValueError("tail step size must be positive")
 
+    def step_size(self, k: int, r_inner: float, r_outer: float) -> float:
+        """Step of sweep iteration ``k``.
+
+        For k = 0 .. mode_max - mode_min the step is the exact reciprocal of
+        one band mode's gradient factor, visiting modes upward or downward;
+        afterwards the tail step (``default_tail_rho`` unless given) is used.
+        """
+        if k > self.mode_max - self.mode_min:
+            return self.tail_rho or default_tail_rho(r_inner, r_outer)
+        mode = self.mode_min + k if self.direction == "ascending" else self.mode_max - k
+        return 1.0 / gradient_factor(mode, r_inner, r_outer)
+
 
 @dataclass(frozen=True)
 class ExplicitSchedule:
@@ -107,6 +127,12 @@ class ExplicitSchedule:
         if self.tail_rho is not None and not self.tail_rho > 0.0:
             raise ValueError("tail step size must be positive")
 
+    def step_size(self, k: int, r_inner: float, r_outer: float) -> float:
+        """The ``k``-th listed step, then the tail step as in ``ModeSweep``."""
+        if k >= len(self.rhos):
+            return self.tail_rho or default_tail_rho(r_inner, r_outer)
+        return self.rhos[k]
+
 
 StepStrategy = Union[Constant, Armijo, OptimalTwoMode, ModeSweep, ExplicitSchedule]
 
@@ -117,25 +143,23 @@ def armijo_step(
     grad_norm_sq: float,
     xi: float = 1.0 / 3.0,
     tau: float = 0.5,
-    beta0: float = 1.0,
-    max_backtracks: int = MAX_BACKTRACKS,
 ) -> tuple[float, int]:
     """Backtracking line search for one descent step.
 
     ``evaluate(beta)`` must return the functional at the trial iterate
-    omega - beta*grad. Returns the first beta = beta0 * tau^m satisfying
+    omega - beta*grad. Returns the first beta = tau^m satisfying
     J(beta) <= j_value - xi*beta*grad_norm_sq together with the number of
     evaluations spent. Raises ``StepUnderflowError`` after
-    ``max_backtracks`` halvings.
+    ``MAX_BACKTRACKS`` halvings.
     """
-    beta = beta0
-    for m in range(max_backtracks + 1):
+    beta = 1.0
+    for m in range(MAX_BACKTRACKS + 1):
         trial = evaluate(beta)
         if trial <= j_value - xi * beta * grad_norm_sq:
             return beta, m + 1
         beta *= tau
     raise StepUnderflowError(
-        f"step size underflow: no acceptable step after {max_backtracks} halvings "
+        f"step size underflow: no acceptable step after {MAX_BACKTRACKS} halvings "
         f"(last trial beta = {beta / tau:.3e})"
     )
 
@@ -159,39 +183,10 @@ def optimal_step(
 
 
 def default_tail_rho(r_inner: float, r_outer: float) -> float:
-    """Tail step once a sweep has exhausted its band.
+    """Tail step once a sweep or schedule has run out of steps.
 
     The optimal two-mode step for the widest tracked band [0, cap]; the
     cap mode's factor is negligible, so this is essentially 2 / C_0 =
     r_inner / r_outer.
     """
     return optimal_step(0, DEFAULT_BAND_CAP, r_inner, r_outer)[0]
-
-
-def sweep_step(
-    k: int,
-    mode_min: int,
-    mode_max: int,
-    direction: str,
-    r_inner: float,
-    r_outer: float,
-    tail_rho: float | None = None,
-) -> float:
-    """Step size of sweep iteration ``k``.
-
-    For k = 0 .. mode_max - mode_min the step is the exact reciprocal of
-    one band mode's gradient factor, visiting modes upward or downward;
-    afterwards the tail step (``default_tail_rho`` unless given) is used.
-    """
-    if k < 0:
-        raise ValueError("iteration index must be nonnegative")
-    if not 0 <= mode_min <= mode_max:
-        raise ValueError("band must satisfy 0 <= mode_min <= mode_max")
-    if direction not in ("ascending", "descending"):
-        raise ValueError("direction must be 'ascending' or 'descending'")
-    if k <= mode_max - mode_min:
-        mode = mode_min + k if direction == "ascending" else mode_max - k
-        return 1.0 / gradient_factor(mode, r_inner, r_outer)
-    if tail_rho is not None:
-        return tail_rho
-    return default_tail_rho(r_inner, r_outer)

@@ -16,24 +16,19 @@ from adjoint_cauchy import (
     Constant,
     ExplicitSchedule,
     FemBackend,
-    FourierBoundary,
-    ModeState,
     ModeSweep,
     SpectralBackend,
     StopRule,
-    boundary_inner_product,
     builtin_terms,
     cauchy_data,
-    compression_factor,
-    evaluate_functional,
     exact_inner_trace,
     generate_mesh,
-    gradient,
     gradient_factor,
     run,
-    step_error_modes,
-    sweep_step,
 )
+from adjoint_cauchy.boundary import boundary_inner_product
+from adjoint_cauchy.iteration import evaluate_functional, gradient
+from adjoint_cauchy.spectral import FourierBoundary, ModeState, compression_factor, step_error_modes
 from adjoint_cauchy.cli import oracle_check
 
 R_IN, R_OUT = 1.0, 3.0
@@ -93,7 +88,7 @@ def test_criterion_2_sweep_annihilates_band():
         for k in range(6):
             mode = 5 - k if direction == "descending" else k
             c = gradient_factor(mode, R_IN, R_OUT)
-            rho = sweep_step(k, 0, 5, direction, R_IN, R_OUT)
+            rho = ModeSweep(0, 5, direction).step_size(k, R_IN, R_OUT)
             assert math.isclose(rho, 1.0 / c, rel_tol=1e-15)
             state = step_error_modes(state, rho, R_OUT, exact_inverse_of=c)
         ratios[direction] = state.coeffs.norm() / mu0.norm()

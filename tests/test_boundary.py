@@ -6,14 +6,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from adjoint_cauchy import (
-    BoundaryFunction,
+from adjoint_cauchy import BoundaryFunction
+from adjoint_cauchy.boundary import (
     BoundaryRing,
     boundary_inner_product,
     boundary_norm,
     make_ring,
-    ring_chord_lengths,
-    ring_lumped_weights,
     ring_mass_apply,
     rings_compatible,
 )
@@ -53,7 +51,7 @@ def test_rings_compatible():
 
 def test_chord_lengths_regular_polygon():
     ring = make_ring("outer", 3.0, 160)
-    h = ring_chord_lengths(ring)
+    h = ring.chord_lengths
     assert_allclose(h, 2 * 3.0 * math.sin(math.pi / 160))
     # inscribed 160-gon perimeter, radius 3
     assert math.isclose(h.sum(), 18.84834476220317, rel_tol=1e-15)
@@ -61,7 +59,7 @@ def test_chord_lengths_regular_polygon():
 
 def test_lumped_weights_sum_to_perimeter():
     ring = make_ring("inner", 1.0, 64)
-    w = ring_lumped_weights(ring)
+    w = ring.lumped_weights
     assert math.isclose(w.sum(), 6.280662313909506, rel_tol=1e-15)
     assert np.all(w > 0)
 
@@ -69,7 +67,7 @@ def test_lumped_weights_sum_to_perimeter():
 def test_mass_apply_matches_dense_assembly():
     """Cyclic assembly of the h/6 * [[2, 1], [1, 2]] edge blocks."""
     ring = make_ring("inner", 2.0, 5)
-    h = ring_chord_lengths(ring)
+    h = ring.chord_lengths
     n = ring.size
     dense = np.zeros((n, n))
     for e in range(n):

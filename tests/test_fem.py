@@ -16,21 +16,23 @@ from adjoint_cauchy import (
     AnnulusSpec,
     BoundaryFunction,
     FemBackend,
-    FourierSolver,
     SolverError,
-    assemble_stiffness,
-    boundary_norm,
     builtin_terms,
     cauchy_data,
     generate_mesh,
-    make_ring,
+)
+from adjoint_cauchy import iteration
+from adjoint_cauchy.boundary import boundary_norm, make_ring
+from adjoint_cauchy.fem import (
+    FourierSolver,
+    assemble_stiffness,
+    flux_rows,
+    local_stiffness,
     neumann_load,
     normal_flux,
     solve_mixed_bvp,
     trace,
 )
-from adjoint_cauchy import iteration
-from adjoint_cauchy.fem import flux_rows, local_stiffness
 
 
 def sparse_stiffness(mesh):

@@ -6,18 +6,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from adjoint_cauchy import (
-    BoundaryFunction,
-    BoundaryRing,
-    FourierBoundary,
-    analyze,
-    boundary_inner_product,
-    builtin_terms,
-    cauchy_data,
-    detect_band,
-    make_ring,
-    synthesize,
-)
+from adjoint_cauchy import BoundaryFunction, builtin_terms, cauchy_data
+from adjoint_cauchy.boundary import BoundaryRing, boundary_inner_product, make_ring
+from adjoint_cauchy.fourier import analyze, detect_band, synthesize
+from adjoint_cauchy.spectral import FourierBoundary
 
 
 def test_analyze_cos2theta():

@@ -16,26 +16,27 @@ from adjoint_cauchy import (
     DivergenceError,
     ExplicitSchedule,
     FemBackend,
-    FourierBoundary,
-    IterationRecord,
     ModeSweep,
-    SolveCounters,
+    OptimalTwoMode,
     SpectralBackend,
     StopRule,
-    analyze,
-    boundary_inner_product,
     builtin_terms,
     cauchy_data,
-    evaluate_functional,
     exact_inner_trace,
     generate_mesh,
-    gradient,
-    make_ring,
+    gradient_factor,
     run,
-    solve_series,
-    synthesize,
+)
+from adjoint_cauchy.boundary import boundary_inner_product, make_ring
+from adjoint_cauchy.fourier import analyze, synthesize
+from adjoint_cauchy.iteration import (
+    IterationRecord,
+    SolveCounters,
+    evaluate_functional,
+    gradient,
     write_history_csv,
 )
+from adjoint_cauchy.spectral import FourierBoundary, solve_series
 
 R_IN, R_OUT = 1.0, 3.0
 J_ZERO = 243.0 * math.pi / 1681.0
@@ -148,6 +149,25 @@ def test_divergence_guard(spectral, ex2):
     with pytest.raises(DivergenceError) as err:
         run(spectral, ex2, Constant(5.0), StopRule(max_iters=100))
     assert len(err.value.history) >= 5
+
+
+def test_optimal_two_mode_above_mode_zero_window_diverges():
+    """OptimalTwoMode(1, 2) steps rho = 2/(C_1 + C_2) = 0.817, past 2/C_0 = 1/3.
+    The data hold no mode 0, but its rounding error grows |1 - rho*C_0| = 3.9x
+    per step, so J grows about 15x per step until the guard trips."""
+    backend = SpectralBackend(R_IN, R_OUT)
+    data = cauchy_data(builtin_terms("example2"), backend.outer_ring)
+    with pytest.raises(DivergenceError) as err:
+        run(backend, data, OptimalTwoMode(1, 2))
+    history = err.value.history
+    c0, c1, c2 = (gradient_factor(j, R_IN, R_OUT) for j in range(3))
+    rho = 2.0 / (c1 + c2)
+    assert math.isclose(rho, 0.817, abs_tol=5e-4) and rho > 2.0 / c0 == 1.0 / 3.0
+    assert all(record.rho == rho for record in history)
+    last = [record.j_value for record in history[-4:]]
+    ratios = [b / a for a, b in zip(last, last[1:])]
+    assert all(13.0 < ratio < 16.0 for ratio in ratios)
+    assert math.isclose(ratios[-1], (1.0 - rho * c0) ** 2, rel_tol=1e-2)
 
 
 def test_run_is_reproducible(spectral, ex2):

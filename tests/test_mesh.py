@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from adjoint_cauchy import AnnulusSpec, boundary_ring, dump_mesh_csv, generate_mesh, triangle_areas
+from adjoint_cauchy import AnnulusSpec, generate_mesh
+from adjoint_cauchy.mesh import dump_mesh_csv, triangle_areas
 
 
 def test_node_and_triangle_counts():
@@ -34,14 +35,12 @@ def test_spec_validation():
 
 def test_boundary_rings():
     mesh = generate_mesh(AnnulusSpec(1.0, 3.0, 2, 4))
-    inner = boundary_ring(mesh, "inner")
-    outer = boundary_ring(mesh, "outer")
+    inner = mesh.inner_ring
+    outer = mesh.outer_ring
     assert_allclose(inner.angles, [0.0, np.pi / 2, np.pi, 3 * np.pi / 2])
     assert inner.radius == 1.0
     assert outer.radius == 3.0
     assert inner.size == outer.size == 4
-    with pytest.raises(ValueError):
-        boundary_ring(mesh, "top")
 
 
 def test_boundary_nodes_sit_on_circles():

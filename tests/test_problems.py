@@ -4,16 +4,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from adjoint_cauchy import (
-    BUILTIN_NAMES,
-    HarmonicTerm,
-    analyze,
-    builtin_terms,
-    cauchy_data,
-    exact_coefficients,
-    exact_inner_trace,
-    make_ring,
-)
+from adjoint_cauchy import HarmonicTerm, builtin_terms, cauchy_data, exact_inner_trace
+from adjoint_cauchy.boundary import make_ring
+from adjoint_cauchy.fourier import analyze
+from adjoint_cauchy.problems import BUILTIN_NAMES, exact_coefficients
 
 
 def test_example1_outer_data():

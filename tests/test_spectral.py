@@ -17,13 +17,13 @@ import math
 import numpy as np
 import pytest
 
-from adjoint_cauchy import (
+from adjoint_cauchy import gradient_factor
+from adjoint_cauchy.spectral import (
     FourierBoundary,
     ModeState,
     compression_factor,
     functional_value,
     gradient_coefficients,
-    gradient_factor,
     solve_series,
     step_error_modes,
     trace_factor,

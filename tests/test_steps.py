@@ -9,19 +9,14 @@ from adjoint_cauchy import (
     Armijo,
     Constant,
     ExplicitSchedule,
-    FourierBoundary,
-    ModeState,
     ModeSweep,
     OptimalTwoMode,
     StepUnderflowError,
-    armijo_step,
-    compression_factor,
-    default_tail_rho,
     gradient_factor,
     optimal_step,
-    step_error_modes,
-    sweep_step,
 )
+from adjoint_cauchy.spectral import FourierBoundary, ModeState, compression_factor, step_error_modes
+from adjoint_cauchy.steps import armijo_step, default_tail_rho
 
 R_IN, R_OUT = 1.0, 3.0
 
@@ -121,18 +116,29 @@ def test_optimal_step_minimizes_compression():
 
 
 def test_sweep_step_descending():
-    assert math.isclose(sweep_step(0, 0, 2, "descending", R_IN, R_OUT), 1681.0 / 486.0, rel_tol=1e-14)
-    assert math.isclose(sweep_step(1, 0, 2, "descending", R_IN, R_OUT), 25.0 / 54.0, rel_tol=1e-14)
-    assert math.isclose(sweep_step(2, 0, 2, "descending", R_IN, R_OUT), 1.0 / 6.0, rel_tol=1e-14)
+    sweep = ModeSweep(0, 2, "descending")
+    assert math.isclose(sweep.step_size(0, R_IN, R_OUT), 1681.0 / 486.0, rel_tol=1e-14)
+    assert math.isclose(sweep.step_size(1, R_IN, R_OUT), 25.0 / 54.0, rel_tol=1e-14)
+    assert math.isclose(sweep.step_size(2, R_IN, R_OUT), 1.0 / 6.0, rel_tol=1e-14)
     # past the band the tail step takes over
-    assert sweep_step(3, 0, 2, "descending", R_IN, R_OUT, tail_rho=1.0 / 3.0) == 1.0 / 3.0
-    assert sweep_step(9, 0, 2, "descending", R_IN, R_OUT) == 1.0 / 3.0
+    assert ModeSweep(0, 2, "descending", tail_rho=1.0 / 3.0).step_size(3, R_IN, R_OUT) == 1.0 / 3.0
+    assert sweep.step_size(9, R_IN, R_OUT) == 1.0 / 3.0
 
 
 def test_sweep_step_ascending():
-    assert math.isclose(sweep_step(0, 0, 2, "ascending", R_IN, R_OUT), 1.0 / 6.0, rel_tol=1e-14)
-    assert math.isclose(sweep_step(1, 0, 2, "ascending", R_IN, R_OUT), 25.0 / 54.0, rel_tol=1e-14)
-    assert math.isclose(sweep_step(2, 0, 2, "ascending", R_IN, R_OUT), 1681.0 / 486.0, rel_tol=1e-14)
+    sweep = ModeSweep(0, 2, "ascending")
+    assert math.isclose(sweep.step_size(0, R_IN, R_OUT), 1.0 / 6.0, rel_tol=1e-14)
+    assert math.isclose(sweep.step_size(1, R_IN, R_OUT), 25.0 / 54.0, rel_tol=1e-14)
+    assert math.isclose(sweep.step_size(2, R_IN, R_OUT), 1681.0 / 486.0, rel_tol=1e-14)
+
+
+def test_fixed_rule_step_sizes():
+    assert Constant(0.25).step_size(7, R_IN, R_OUT) == 0.25
+    assert OptimalTwoMode(0, 2).step_size(3, R_IN, R_OUT) == optimal_step(0, 2, R_IN, R_OUT)[0]
+    schedule = ExplicitSchedule((2.0, 0.5))
+    tail = default_tail_rho(R_IN, R_OUT)
+    assert [schedule.step_size(k, R_IN, R_OUT) for k in range(4)] == [2.0, 0.5, tail, tail]
+    assert ExplicitSchedule((2.0,), tail_rho=0.125).step_size(1, R_IN, R_OUT) == 0.125
 
 
 def test_sweep_annihilates_band_in_band_width_steps():
@@ -148,7 +154,7 @@ def test_sweep_annihilates_band_in_band_width_steps():
             mode = k if direction == "ascending" else 5 - k
             c = gradient_factor(mode, R_IN, R_OUT)
             assert math.isclose(
-                sweep_step(k, 0, 5, direction, R_IN, R_OUT), 1.0 / c, rel_tol=1e-15
+                ModeSweep(0, 5, direction).step_size(k, R_IN, R_OUT), 1.0 / c, rel_tol=1e-15
             )
             state = step_error_modes(state, 1.0 / c, R_OUT, exact_inverse_of=c)
         assert state.coeffs.norm() == 0.0
