@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -80,7 +81,7 @@ def _number(value: Any, context: str) -> float:
     if isinstance(value, str):
         try:
             return float(Fraction(value))
-        except (ValueError, ZeroDivisionError) as exc:
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
             raise ConfigError(f"{context}: cannot parse {value!r} as a number") from exc
     raise ConfigError(f"{context}: expected a number, got {value!r}")
 
@@ -92,10 +93,19 @@ def _section(cfg: dict, key: str) -> dict:
     return value
 
 
+def _finite(text: str) -> float:
+    """JSON number hook: ``json`` reads Infinity, NaN and overflowing
+    literals such as 1e999 as floats; no config field accepts them."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigError(f"config holds the non-finite number {text}")
+    return value
+
+
 def load_config(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as handle:
-            cfg = json.load(handle)
+            cfg = json.load(handle, parse_float=_finite, parse_constant=_finite)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -505,7 +515,7 @@ def _apply_overrides(cfg: dict, args: argparse.Namespace) -> None:
         cfg["stop"]["j_tol"] = args.j_tol
     if getattr(args, "strategy", None) is not None:
         try:
-            cfg["strategy"] = json.loads(args.strategy)
+            cfg["strategy"] = json.loads(args.strategy, parse_float=_finite, parse_constant=_finite)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"--strategy is not valid JSON: {exc}") from exc
 

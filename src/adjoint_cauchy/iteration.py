@@ -11,9 +11,10 @@ Both backends expose the same three operations and prepare a per-mode
 response once, at construction, so that each solve is an ``rfft``, a
 product per mode and an ``irfft``. The finite element one works on a mesh
 and reads its responses off the stiffness stencils; the spectral one takes
-them from the closed-form series solution, for the three maps it needs
-(Dirichlet data to outer trace, Neumann data to outer trace, Neumann data
-to the gradient on the inner circle), and is exact up to the analysis band.
+them from the closed-form series solution as arrays of modes 0..M in
+``rfft`` layout, for the three maps it needs (Dirichlet data to outer
+trace, Neumann data to outer trace, Neumann data to the gradient on the
+inner circle), and is exact up to the analysis band.
 Each main-path iteration costs exactly one primary and one adjoint solve;
 line-search trials are counted separately so solver budgets of different
 step strategies can be compared. ``run`` asks a fixed-step rule for its
@@ -50,7 +51,7 @@ from .fem import (
 )
 from .fourier import band_coefficients, band_samples
 from .mesh import AnnulusMesh
-from .spectral import DEFAULT_BAND_CAP, FourierBoundary, solve_series
+from .spectral import DEFAULT_BAND_CAP, solve_series
 
 __all__ = [
     "CauchyData",
@@ -251,27 +252,13 @@ class SpectralBackend:
         self.inner_ring = make_ring("inner", r_inner, n_angular)
         self.outer_ring = make_ring("outer", r_outer, n_angular)
 
-        modes = range(self.max_mode + 1)
-        from_dirichlet = solve_series(
-            FourierBoundary.zero(r_outer),
-            FourierBoundary(dict.fromkeys(modes, 1.0), r_inner),
-            r_inner,
-            r_outer,
-        )
-        from_neumann = solve_series(
-            FourierBoundary(dict.fromkeys(modes, 1.0), r_outer),
-            FourierBoundary.zero(r_inner),
-            r_inner,
-            r_outer,
-        )
-
-        def per_mode(c: FourierBoundary) -> np.ndarray:
-            return np.array([c.get(j) for j in modes])
-
-        self.dirichlet_trace = per_mode(from_dirichlet.trace(r_outer))
-        self.neumann_trace = per_mode(from_neumann.trace(r_outer))
+        ones, zeros = np.ones(self.max_mode + 1), np.zeros(self.max_mode + 1)
+        from_dirichlet = solve_series(zeros, ones, r_inner, r_outer)
+        from_neumann = solve_series(ones, zeros, r_inner, r_outer)
+        self.dirichlet_trace = from_dirichlet.trace(r_outer)
+        self.neumann_trace = from_neumann.trace(r_outer)
         # gradient = -d/dn on the inner circle = +d/dr there
-        self.neumann_gradient = per_mode(from_neumann.radial_derivative(r_inner))
+        self.neumann_gradient = from_neumann.radial_derivative(r_inner)
 
     def _require_ring(self, f: BoundaryFunction, ring: BoundaryRing) -> None:
         if not rings_compatible(f.ring, ring):

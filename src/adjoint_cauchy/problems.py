@@ -19,7 +19,6 @@ import numpy as np
 
 from .boundary import BoundaryFunction, BoundaryRing
 from .iteration import CauchyData
-from .spectral import FourierBoundary
 
 __all__ = [
     "HarmonicTerm",
@@ -27,7 +26,6 @@ __all__ = [
     "BUILTIN_NAMES",
     "cauchy_data",
     "exact_inner_trace",
-    "exact_coefficients",
 ]
 
 
@@ -100,19 +98,3 @@ def exact_inner_trace(terms: Sequence[HarmonicTerm], inner_ring: BoundaryRing) -
     """The trace the iteration should recover on the inner ring."""
     return BoundaryFunction(inner_ring, _evaluate(terms, inner_ring.radius, inner_ring.angles))
 
-
-def exact_coefficients(terms: Sequence[HarmonicTerm], radius: float) -> FourierBoundary:
-    """Fourier coefficients of the harmonic field's trace at ``radius``."""
-    coeffs: dict[int, complex] = {}
-    for term in terms:
-        value = term.amplitude * radius**term.mode
-        if term.mode == 0:
-            coeffs[0] = coeffs.get(0, 0.0) + value
-            continue
-        if term.kind == "cos":
-            half = complex(0.5 * value, 0.0)
-        else:
-            half = complex(0.0, -0.5 * value)
-        coeffs[term.mode] = coeffs.get(term.mode, 0.0) + half
-        coeffs[-term.mode] = coeffs.get(-term.mode, 0.0) + half.conjugate()
-    return FourierBoundary(coeffs, radius)

@@ -8,9 +8,11 @@ used both as a fast solver backend and as the oracle the finite element
 backend is verified against.
 
 Conventions. A function f on a circle of radius R is written
-f(theta) = sum_j a_j exp(i*j*theta) with a_{-j} = conj(a_j) for real data.
-The outward normal on the inner circle points toward the origin, so the
-outward normal derivative there is minus the radial one.
+f(theta) = sum_j a_j exp(i*j*theta) with a_{-j} = conj(a_j) for real data,
+so an array of a_0..a_M (``rfft`` layout, as ``fourier`` produces) holds a
+band-limited real function. The outward normal on the inner circle points
+toward the origin, so the outward normal derivative there is minus the
+radial one.
 
 Two per-mode factors drive the whole method. With q = r_inner / r_outer
 and m = |j|:
@@ -31,18 +33,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+
+import numpy as np
 
 __all__ = [
     "DEFAULT_BAND_CAP",
-    "FourierBoundary",
-    "ModeState",
     "HarmonicSeries",
     "trace_factor",
     "gradient_factor",
-    "gradient_coefficients",
-    "functional_value",
-    "step_error_modes",
     "compression_factor",
     "solve_series",
 ]
@@ -55,79 +53,6 @@ DEFAULT_BAND_CAP = 64
 def _check_radii(r_inner: float, r_outer: float) -> None:
     if not (0.0 < r_inner < r_outer):
         raise ValueError("radii must satisfy 0 < r_inner < r_outer")
-
-
-@dataclass(frozen=True)
-class FourierBoundary:
-    """Fourier coefficients of a function on one boundary circle."""
-
-    coeffs: Mapping[int, complex]
-    radius: float
-
-    def __post_init__(self):
-        if not self.radius > 0.0:
-            raise ValueError("circle radius must be positive")
-        # exact zeros carry no information; dropping them keeps ``modes``
-        # meaningful and makes the zero function the empty coefficient set
-        object.__setattr__(
-            self,
-            "coeffs",
-            {int(j): complex(a) for j, a in self.coeffs.items() if a != 0},
-        )
-
-    @classmethod
-    def zero(cls, radius: float) -> FourierBoundary:
-        return cls({}, radius)
-
-    def get(self, mode: int) -> complex:
-        return self.coeffs.get(mode, 0.0 + 0.0j)
-
-    @property
-    def modes(self) -> list[int]:
-        return sorted(self.coeffs)
-
-    @property
-    def max_mode(self) -> int:
-        return max((abs(j) for j in self.coeffs), default=0)
-
-    def norm(self) -> float:
-        """L2 norm over the circle: sqrt(2*pi*R * sum |a_j|^2)."""
-        total = sum(abs(a) ** 2 for a in self.coeffs.values())
-        return math.sqrt(2.0 * math.pi * self.radius * total)
-
-    def is_real(self, tol: float = 1e-10) -> bool:
-        scale = max((abs(a) for a in self.coeffs.values()), default=0.0)
-        if scale == 0.0:
-            return True
-        return all(
-            abs(a - self.get(-j).conjugate()) <= tol * scale
-            for j, a in self.coeffs.items()
-        )
-
-    def _same_circle(self, other: FourierBoundary) -> None:
-        if self.radius != other.radius:
-            raise ValueError("coefficients live on circles of different radii")
-
-    def __add__(self, other: FourierBoundary) -> FourierBoundary:
-        self._same_circle(other)
-        out = dict(self.coeffs)
-        for j, a in other.coeffs.items():
-            out[j] = out.get(j, 0.0) + a
-        return FourierBoundary(out, self.radius)
-
-    def __sub__(self, other: FourierBoundary) -> FourierBoundary:
-        return self + other.scaled(-1.0)
-
-    def scaled(self, factor: complex) -> FourierBoundary:
-        return FourierBoundary({j: factor * a for j, a in self.coeffs.items()}, self.radius)
-
-
-@dataclass(frozen=True)
-class ModeState:
-    """Error coefficients of one descent iterate, with its iteration index."""
-
-    coeffs: FourierBoundary
-    k: int = 0
 
 
 def trace_factor(mode: int, r_inner: float, r_outer: float) -> float:
@@ -145,63 +70,6 @@ def gradient_factor(mode: int, r_inner: float, r_outer: float) -> float:
     m = abs(int(mode))
     q2m = (r_inner / r_outer) ** (2 * m)
     return 8.0 * (r_outer / r_inner) * q2m / (1.0 + q2m) ** 2
-
-
-def gradient_coefficients(mu: FourierBoundary, r_outer: float) -> FourierBoundary:
-    """Gradient of the misfit functional for inner-trace error ``mu``.
-
-    Mode by mode the gradient is -C_|j| * a_j on the inner circle.
-    """
-    r_inner = mu.radius
-    _check_radii(r_inner, r_outer)
-    out = {
-        j: -gradient_factor(j, r_inner, r_outer) * a for j, a in mu.coeffs.items()
-    }
-    return FourierBoundary(out, r_inner)
-
-
-def functional_value(mu: FourierBoundary, r_outer: float) -> float:
-    """Misfit functional for inner-trace error ``mu``.
-
-    J = 2*pi*r_outer * sum_j (T_|j| * |a_j|)^2, the squared L2 norm of the
-    outer-circle trace of the error field.
-    """
-    r_inner = mu.radius
-    _check_radii(r_inner, r_outer)
-    total = sum(
-        (trace_factor(j, r_inner, r_outer) * abs(a)) ** 2
-        for j, a in mu.coeffs.items()
-    )
-    return 2.0 * math.pi * r_outer * total
-
-
-def step_error_modes(
-    state: ModeState,
-    rho: float,
-    r_outer: float,
-    exact_inverse_of: float | None = None,
-) -> ModeState:
-    """Advance the error coefficients one steepest-descent step.
-
-    Each mode is multiplied by (1 - rho * C_|j|). When the step is the
-    exact reciprocal of some gradient factor, pass that factor as
-    ``exact_inverse_of``: the update is then computed as 1 - C_|j| / factor,
-    which cancels to exactly zero for the annihilated mode instead of
-    leaving a one-ulp residue that later steps of a sweep can amplify.
-    """
-    if not math.isfinite(rho):
-        raise ValueError("step size must be finite")
-    mu = state.coeffs
-    r_inner = mu.radius
-    out = {}
-    for j, a in mu.coeffs.items():
-        c = gradient_factor(j, r_inner, r_outer)
-        if exact_inverse_of is not None:
-            factor = 1.0 - c / exact_inverse_of
-        else:
-            factor = 1.0 - rho * c
-        out[j] = factor * a
-    return ModeState(FourierBoundary(out, r_inner), state.k + 1)
 
 
 def compression_factor(
@@ -223,89 +91,70 @@ def compression_factor(
 class HarmonicSeries:
     """Harmonic field on the annulus as per-mode radial coefficients.
 
-    Mode j != 0 is stored as A*(r/r_outer)^m + B*(r_inner/r)^m with
-    m = |j|; mode 0 as A + B*log(r/r_outer). The scaled basis keeps every
-    evaluation on r_inner <= r <= r_outer free of large powers.
+    Entry j of ``a`` and ``b`` (modes 0..M, ``rfft`` layout) stands for
+    a_j*(r/r_outer)^j + b_j*(r_inner/r)^j, and entry 0 for
+    a_0 + b_0*log(r/r_outer). The scaled basis keeps every evaluation on
+    r_inner <= r <= r_outer free of large powers.
     """
 
-    terms: Mapping[int, tuple[complex, complex]]
+    a: np.ndarray
+    b: np.ndarray
     r_inner: float
     r_outer: float
-
-    def __post_init__(self):
-        _check_radii(self.r_inner, self.r_outer)
-        object.__setattr__(
-            self,
-            "terms",
-            {int(j): (complex(a), complex(b)) for j, (a, b) in self.terms.items()},
-        )
 
     def _check_radius(self, radius: float) -> None:
         if not (self.r_inner <= radius <= self.r_outer):
             raise ValueError("evaluation radius lies outside the annulus")
 
-    def trace(self, radius: float) -> FourierBoundary:
+    def _powers(self, radius: float) -> tuple[np.ndarray, np.ndarray]:
+        m = np.arange(self.a.size)
+        return (radius / self.r_outer) ** m, (self.r_inner / radius) ** m
+
+    def trace(self, radius: float) -> np.ndarray:
         """Fourier coefficients of the field restricted to ``radius``."""
         self._check_radius(radius)
-        out = {}
-        for j, (a, b) in self.terms.items():
-            m = abs(j)
-            if m == 0:
-                out[j] = a + b * math.log(radius / self.r_outer)
-            else:
-                out[j] = a * (radius / self.r_outer) ** m + b * (self.r_inner / radius) ** m
-        return FourierBoundary(out, radius)
+        grow, decay = self._powers(radius)
+        out = self.a * grow + self.b * decay
+        out[0] = self.a[0] + self.b[0] * math.log(radius / self.r_outer)
+        return out
 
-    def radial_derivative(self, radius: float) -> FourierBoundary:
+    def radial_derivative(self, radius: float) -> np.ndarray:
         """Fourier coefficients of d/dr of the field at ``radius``."""
         self._check_radius(radius)
-        out = {}
-        for j, (a, b) in self.terms.items():
-            m = abs(j)
-            if m == 0:
-                out[j] = b / radius
-            else:
-                out[j] = (m / radius) * (
-                    a * (radius / self.r_outer) ** m - b * (self.r_inner / radius) ** m
-                )
-        return FourierBoundary(out, radius)
+        grow, decay = self._powers(radius)
+        out = (np.arange(self.a.size) / radius) * (self.a * grow - self.b * decay)
+        out[0] = self.b[0] / radius
+        return out
 
 
 def solve_series(
-    neumann_outer: FourierBoundary,
-    dirichlet_inner: FourierBoundary,
+    neumann_outer: np.ndarray,
+    dirichlet_inner: np.ndarray,
     r_inner: float,
     r_outer: float,
 ) -> HarmonicSeries:
     """Harmonic field with radial derivative ``neumann_outer`` on the outer
     circle and trace ``dirichlet_inner`` on the inner one.
 
-    Both data sets are Fourier coefficients on their own circle; the result
-    solves each mode's two-point radial problem in closed form.
+    Both data are coefficient arrays of modes 0..M in ``rfft`` layout on
+    their own circle; the result solves each mode's two-point radial
+    problem in closed form.
     """
     _check_radii(r_inner, r_outer)
-    if neumann_outer.radius != r_outer:
-        raise ValueError("Neumann coefficients must live on the outer circle")
-    if dirichlet_inner.radius != r_inner:
-        raise ValueError("Dirichlet coefficients must live on the inner circle")
+    g = np.asarray(neumann_outer, dtype=complex)
+    w = np.asarray(dirichlet_inner, dtype=complex)
+    if g.ndim != 1 or g.size == 0 or g.shape != w.shape:
+        raise ValueError("Neumann and Dirichlet data must both hold modes 0..M")
 
     q = r_inner / r_outer
-    terms: dict[int, tuple[complex, complex]] = {}
-    for j in sorted(set(neumann_outer.coeffs) | set(dirichlet_inner.coeffs)):
-        g = neumann_outer.get(j)
-        w = dirichlet_inner.get(j)
-        m = abs(j)
-        if m == 0:
-            # field = A + B*log(r/r_outer); d/dr at r_outer gives B/r_outer
-            b = g * r_outer
-            a = w - b * math.log(q)
-            terms[0] = (a, b)
-        else:
-            # field = A*(r/r_outer)^m + B*(r_inner/r)^m
-            #   d/dr at r_outer:  A*m/r_outer - B*(m/r_outer)*q^m = g
-            #   value at r_inner: A*q^m + B = w
-            qm = q**m
-            a = (g * r_outer / m + w * qm) / (1.0 + qm * qm)
-            b = w - a * qm
-            terms[j] = (a, b)
-    return HarmonicSeries(terms, r_inner, r_outer)
+    m = np.arange(g.size)
+    # mode m > 0: field = A*(r/r_outer)^m + B*(r_inner/r)^m
+    #   d/dr at r_outer:  A*m/r_outer - B*(m/r_outer)*q^m = g
+    #   value at r_inner: A*q^m + B = w
+    qm = q**m
+    a = (g * r_outer / np.maximum(m, 1) + w * qm) / (1.0 + qm * qm)
+    b = w - a * qm
+    # mode 0: field = A + B*log(r/r_outer); d/dr at r_outer gives B/r_outer
+    b[0] = g[0] * r_outer
+    a[0] = w[0] - b[0] * math.log(q)
+    return HarmonicSeries(a, b, r_inner, r_outer)

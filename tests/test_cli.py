@@ -57,6 +57,8 @@ def test_number_parses_fractions_exactly():
         _number(True, "x")
     with pytest.raises(ConfigError):
         _number("1/0", "x")
+    with pytest.raises(ConfigError):
+        _number("1e999", "x")  # a Fraction too large for a float
 
 
 def test_run_outputs_are_deterministic(tmp_path):
@@ -120,7 +122,29 @@ def test_config_errors_exit_one(tmp_path, capsys):
     assert main(["run", write_config(tmp_path, dict(BASE, strategy={"kind": "wolfe"}), "k.json")]) == 1
     extra = dict(BASE, strategy={"kind": "constant", "rho": 1.0, "mode": 2})
     assert main(["run", write_config(tmp_path, extra, "e.json")]) == 1
+    base = write_config(tmp_path, BASE, "base.json")
+    assert main(["run", base, "--strategy", '{"kind": "constant", "rho": Infinity}']) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("literal", ["Infinity", "-Infinity", "NaN", "1e999"])
+@pytest.mark.parametrize("field", ["radii.outer", "amplitude", "max_iters", "strategy.rho"])
+def test_non_finite_config_numbers_exit_one(tmp_path, capsys, field, literal):
+    # json reads each literal as a float; every one is a config error
+    cfg = dict(
+        BASE,
+        radii={"inner": 1.0, "outer": "X" if field == "radii.outer" else 3.0},
+        data={"terms": [{"amplitude": "X" if field == "amplitude" else 1.0, "mode": 2, "kind": "cos"}]},
+        strategy={"kind": "constant", "rho": "X" if field == "strategy.rho" else 0.3},
+        stop={"max_iters": "X" if field == "max_iters" else 5},
+        output_dir=str(tmp_path / "out"),
+    )
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg).replace('"X"', literal))
+    assert main(["run", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
 
 
 def test_command_line_overrides(tmp_path):

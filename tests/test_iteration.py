@@ -28,7 +28,7 @@ from adjoint_cauchy import (
     run,
 )
 from adjoint_cauchy.boundary import boundary_inner_product, make_ring
-from adjoint_cauchy.fourier import analyze, synthesize
+from adjoint_cauchy.fourier import band_coefficients, band_samples
 from adjoint_cauchy.iteration import (
     IterationRecord,
     SolveCounters,
@@ -36,7 +36,7 @@ from adjoint_cauchy.iteration import (
     gradient,
     write_history_csv,
 )
-from adjoint_cauchy.spectral import FourierBoundary, solve_series
+from adjoint_cauchy.spectral import solve_series
 
 R_IN, R_OUT = 1.0, 3.0
 J_ZERO = 243.0 * math.pi / 1681.0
@@ -271,36 +271,35 @@ def test_cauchy_data_rejects_non_finite_values():
             CauchyData(good, bad)
 
 
-def random_band(ring, max_mode, rng):
-    coeffs = {0: complex(rng.standard_normal(), 0.0)}
-    for j in range(1, max_mode + 1):
-        a = complex(rng.standard_normal(), rng.standard_normal())
-        coeffs[j], coeffs[-j] = a, a.conjugate()
-    return synthesize(FourierBoundary(coeffs, ring.radius), ring)
+def random_band(max_mode, rng):
+    """rfft-layout coefficients of a random real band: a_0 real, then a_j."""
+    draws = rng.standard_normal(2 * max_mode + 1)
+    return np.concatenate(([draws[0]], draws[1::2] + 1j * draws[2::2]))
 
 
 @pytest.mark.parametrize("n_angular, max_mode", [(16, 3), (16, 7), (17, 4), (17, 8)])
 def test_prepared_spectral_solves_match_series_oracle(n_angular, max_mode):
-    """Per-mode responses reproduce the dict-based series solution; 7 and 8
-    are the highest modes that 16 and 17 nodes resolve."""
+    """Per-mode responses reproduce a series solution of the data's own
+    coefficients; 7 and 8 are the highest modes that 16 and 17 nodes resolve."""
     backend = SpectralBackend(R_IN, R_OUT, n_angular=n_angular, max_mode=max_mode)
     inner, outer = backend.inner_ring, backend.outer_ring
     rng = np.random.default_rng(n_angular + max_mode)
+    zero = np.zeros(max_mode + 1)
     for _ in range(5):
-        omega, q_bar, driver = (random_band(r, max_mode, rng) for r in (inner, outer, outer))
-        series = solve_series(
-            analyze(q_bar, max_mode), analyze(omega, max_mode), R_IN, R_OUT
-        )
-        want = synthesize(series.trace(R_OUT), outer).values
+        w, g, d = (random_band(max_mode, rng) for _ in range(3))
+        omega = BoundaryFunction(inner, band_samples(w, inner.size))
+        q_bar, driver = (BoundaryFunction(outer, band_samples(c, outer.size)) for c in (g, d))
+
+        want = band_samples(solve_series(g, w, R_IN, R_OUT).trace(R_OUT), outer.size)
         got = backend.solve_primary(omega, q_bar).values
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
-        series = solve_series(analyze(driver, max_mode), FourierBoundary.zero(R_IN), R_IN, R_OUT)
-        want = synthesize(series.radial_derivative(R_IN), inner).values
+        want = band_samples(solve_series(d, zero, R_IN, R_OUT).radial_derivative(R_IN), inner.size)
         got = backend.solve_adjoint(driver).values
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
-        want_j = analyze(driver - q_bar, max_mode).norm() ** 2
+        power = np.abs(band_coefficients((driver - q_bar).values, max_mode)) ** 2
+        want_j = 2.0 * math.pi * R_OUT * (power[0] + 2.0 * power[1:].sum())
         assert abs(backend.functional(driver, q_bar) - want_j) <= 1e-13 * want_j
 
 

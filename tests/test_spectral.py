@@ -16,18 +16,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from adjoint_cauchy import gradient_factor
-from adjoint_cauchy.spectral import (
-    FourierBoundary,
-    ModeState,
-    compression_factor,
-    functional_value,
-    gradient_coefficients,
-    solve_series,
-    step_error_modes,
-    trace_factor,
-)
+from adjoint_cauchy import BoundaryFunction, SpectralBackend, gradient_factor
+from adjoint_cauchy.fourier import band_coefficients, band_samples
+from adjoint_cauchy.spectral import compression_factor, solve_series, trace_factor
 
 R_IN, R_OUT = 1.0, 3.0
 
@@ -63,70 +57,82 @@ def test_factor_identity():
         assert math.isclose(gradient_factor(m, R_IN, R_OUT), 2.0 * R_OUT / R_IN * t * t, rel_tol=1e-14)
 
 
-def test_fourier_boundary_basics():
-    with pytest.raises(ValueError):
-        FourierBoundary({0: 1.0}, -1.0)
-    a = FourierBoundary({1: 1.0 + 1.0j, -1: 1.0 - 1.0j}, 1.0)
-    b = FourierBoundary({1: -1.0 - 1.0j, -1: -1.0 + 1.0j}, 1.0)
-    assert (a + b).coeffs == {}
-    assert (a - a).coeffs == {}
-    assert a.is_real()
-    assert not FourierBoundary({1: 1.0}, 1.0).is_real()
-    assert a.max_mode == 1
-    assert sorted(a.modes) == [-1, 1]
-    with pytest.raises(ValueError):
-        a + FourierBoundary({1: 1.0}, 2.0)
-    # exact zeros are dropped so the zero function has no modes
-    assert FourierBoundary({3: 0.0}, 1.0).coeffs == {}
+def gradient_factors(mode_max):
+    """C_0..C_mode_max as an array, each entry exactly ``gradient_factor``."""
+    return np.array([gradient_factor(j, R_IN, R_OUT) for j in range(mode_max + 1)])
+
+
+def random_band(rng, mode_max):
+    """rfft-layout coefficients of a random real band: a_0 real, then a_j."""
+    draws = rng.standard_normal(2 * mode_max + 1)
+    return np.concatenate(([draws[0]], draws[1::2] + 1j * draws[2::2]))
+
+
+def norm(coeffs, radius=R_IN):
+    """L2 norm over the circle: sqrt(2*pi*R * (|a_0|^2 + 2 * sum_{j >= 1} |a_j|^2))."""
+    power = np.abs(coeffs) ** 2
+    return math.sqrt(2.0 * math.pi * radius * (power[0] + 2.0 * power[1:].sum()))
 
 
 def test_norm_is_circle_l2():
     # cos(2 theta) on the unit circle has squared norm pi
-    mu = FourierBoundary({2: 0.5, -2: 0.5}, 1.0)
-    assert math.isclose(mu.norm(), math.sqrt(math.pi), rel_tol=1e-15)
-    assert FourierBoundary.zero(1.0).norm() == 0.0
+    assert math.isclose(norm(np.array([0.0, 0.0, 0.5]), 1.0), math.sqrt(math.pi), rel_tol=1e-15)
+    assert norm(np.zeros(3), 1.0) == 0.0
+    # the spectral functional is the same squared norm of the outer misfit
+    backend = SpectralBackend(0.5, 1.0, n_angular=16)
+    ring = backend.outer_ring
+    cos2 = BoundaryFunction(ring, np.cos(2 * ring.angles))
+    assert math.isclose(backend.functional(cos2, BoundaryFunction.zeros(ring)), math.pi, rel_tol=1e-14)
+
+
+def backend_gradient(backend, mu):
+    """Gradient coefficients for inner-trace error ``mu`` through the backend's
+    prepared maps: the adjoint response to twice the outer misfit -T*mu."""
+    return backend.neumann_gradient[: mu.size] * (-2.0 * backend.dirichlet_trace[: mu.size] * mu)
 
 
 def test_gradient_coefficients():
-    mu = FourierBoundary({2: 0.5, -2: 0.5}, R_IN)
-    grad = gradient_coefficients(mu, R_OUT)
-    assert math.isclose(grad.get(2).real, -0.5 * 486.0 / 1681.0, rel_tol=1e-15)
-    assert grad.get(2).imag == 0.0
-    assert gradient_coefficients(FourierBoundary.zero(R_IN), R_OUT).coeffs == {}
-    const = gradient_coefficients(FourierBoundary({0: 2.0}, R_IN), R_OUT)
-    assert const.get(0) == -12.0
+    backend = SpectralBackend(R_IN, R_OUT, n_angular=16)
+    grad = backend_gradient(backend, np.array([0.0, 0.0, 0.5]))
+    assert math.isclose(grad[2].real, -0.5 * 486.0 / 1681.0, rel_tol=1e-15)
+    assert grad[2].imag == 0.0
+    assert not backend_gradient(backend, np.zeros(3)).any()
+    assert backend_gradient(backend, np.array([2.0]))[0] == -12.0
+
+
+def outer_trace_of(backend, mu):
+    """Outer trace of the field with inner trace ``mu`` and zero flux."""
+    inner, outer = backend.inner_ring, backend.outer_ring
+    omega = BoundaryFunction(inner, band_samples(mu, inner.size))
+    return backend.solve_primary(omega, BoundaryFunction.zeros(outer))
 
 
 def test_functional_value():
-    mu = FourierBoundary({2: 0.5, -2: 0.5}, R_IN)
-    assert math.isclose(functional_value(mu, R_OUT), 243.0 * math.pi / 1681.0, rel_tol=1e-14)
-    assert functional_value(FourierBoundary.zero(R_IN), R_OUT) == 0.0
+    # J at a zero iterate against data from the exact trace mu is J(mu)
+    backend = SpectralBackend(R_IN, R_OUT, n_angular=64)
+    zero = BoundaryFunction.zeros(backend.outer_ring)
+    cos2 = outer_trace_of(backend, np.array([0.0, 0.0, 0.5]))
+    assert math.isclose(backend.functional(zero, cos2), 243.0 * math.pi / 1681.0, rel_tol=1e-14)
+    assert backend.functional(zero, zero) == 0.0
     c = 0.7
     # constant error: J = 2 pi R_out (T_0 c)^2
-    assert math.isclose(functional_value(FourierBoundary({0: c}, R_IN), R_OUT), 6.0 * math.pi * c * c, rel_tol=1e-14)
+    constant = outer_trace_of(backend, np.array([c]))
+    assert math.isclose(backend.functional(zero, constant), 6.0 * math.pi * c * c, rel_tol=1e-14)
 
 
 def test_step_kills_mode_at_exact_reciprocal():
     c2 = gradient_factor(2, R_IN, R_OUT)
-    state = ModeState(FourierBoundary({2: 0.5, -2: 0.5}, R_IN))
-    stepped = step_error_modes(state, 1.0 / c2, R_OUT, exact_inverse_of=c2)
-    assert stepped.coeffs.coeffs == {}
-    assert stepped.k == 1
-
-
-def test_step_rho_zero_is_identity():
-    mu = FourierBoundary({1: 1.0 - 2.0j, -1: 1.0 + 2.0j}, R_IN)
-    stepped = step_error_modes(ModeState(mu), 0.0, R_OUT)
-    assert stepped.coeffs.coeffs == mu.coeffs
+    mu = np.array([0.0, 0.0, 0.5])
+    # 1 - C_j / c2 cancels to exactly zero on the annihilated mode
+    assert not (mu * (1.0 - gradient_factors(2) / c2)).any()
 
 
 def test_three_step_sweep_annihilates():
-    state = ModeState(FourierBoundary({0: 1.0, 1: 0.5, -1: 0.5, 2: -0.25, -2: -0.25}, R_IN))
+    mu = np.array([1.0, 0.5, -0.25])
     for k in range(3):
         c = gradient_factor(2 - k, R_IN, R_OUT)
-        state = step_error_modes(state, 1.0 / c, R_OUT, exact_inverse_of=c)
-    assert state.coeffs.norm() == 0.0
-    assert state.k == 3
+        mu = mu * (1.0 - gradient_factors(2) / c)
+    assert norm(mu) == 0.0
 
 
 def test_compression_factor_values():
@@ -137,99 +143,139 @@ def test_compression_factor_values():
     assert compression_factor(0, 5, 0.0, R_IN, R_OUT) == 1.0
 
 
-def test_step_rejects_nonfinite_rho():
-    state = ModeState(FourierBoundary({0: 1.0}, R_IN))
-    with pytest.raises(ValueError):
-        step_error_modes(state, math.nan, R_OUT)
-    with pytest.raises(ValueError):
-        step_error_modes(state, math.inf, R_OUT)
-
-
 def test_contraction_bound_random_states():
     """One constant step never shrinks worse than the two-edge-mode bound."""
     rng = np.random.default_rng(42)
     c0 = gradient_factor(0, R_IN, R_OUT)
     for _ in range(50):
         mode_max = int(rng.integers(1, 7))
-        coeffs = {0: complex(rng.standard_normal(), 0.0)}
-        for j in range(1, mode_max + 1):
-            a = complex(rng.standard_normal(), rng.standard_normal())
-            coeffs[j], coeffs[-j] = a, a.conjugate()
-        mu = FourierBoundary(coeffs, R_IN)
+        mu = random_band(rng, mode_max)
         rho = float(rng.uniform(0.01, 0.999 * 2.0 / c0))
         delta = compression_factor(0, mode_max, rho, R_IN, R_OUT)
-        stepped = step_error_modes(ModeState(mu), rho, R_OUT)
+        stepped = mu * (1.0 - rho * gradient_factors(mode_max))
         assert delta < 1.0
-        assert stepped.coeffs.norm() <= delta * mu.norm() * (1.0 + 1e-12)
+        assert norm(stepped) <= delta * norm(mu) * (1.0 + 1e-12)
+
+
+# The maps are linear, so the size of the data plays no part; values below
+# 1e-6 would only probe underflow (squares of 1e-160 are subnormal).
+COEFFICIENT = st.floats(-1.0, 1.0).filter(lambda x: x == 0.0 or abs(x) >= 1e-6)
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(
+    draws=st.integers(0, 6).flatmap(
+        lambda mode_max: st.lists(
+            COEFFICIENT, min_size=2 * mode_max + 1, max_size=2 * mode_max + 1
+        )
+    ),
+    fraction=st.floats(0.01, 0.99),
+)
+def test_backend_descent_contracts_inside_window(draws, fraction):
+    """Five descent steps through the real backend each shrink the inner
+    error at least by the band's compression factor: the contraction window
+    0 < rho < 2/C_0 checked on the run path, not on coefficients alone.
+
+    The iterate carries rounding of order eps*||omega*||, so once the error
+    is a small fraction of omega* the subtraction omega* - omega loses
+    digits (M = 0, rho = 3/16 reads 2.9e-12 relative after four steps).
+    The bound therefore gets a floor of 1e-14*||e_0||; 4000 random cases
+    measured at most 5e-16*||e_0|| above delta*||e_k||."""
+    backend = SpectralBackend(R_IN, R_OUT, n_angular=32)
+    inner, outer = backend.inner_ring, backend.outer_ring
+    mode_max = len(draws) // 2
+    draws = np.array(draws)
+    coeffs = np.concatenate(([draws[0]], draws[1::2] + 1j * draws[2::2]))
+    rho = fraction * 2.0 / gradient_factor(0, R_IN, R_OUT)
+    delta = compression_factor(0, mode_max, rho, R_IN, R_OUT)
+
+    omega_star = BoundaryFunction(inner, band_samples(coeffs, inner.size))
+    u_bar = backend.solve_primary(omega_star, BoundaryFunction.zeros(outer))
+    q_bar = BoundaryFunction.zeros(outer)
+
+    def error_norm(omega):
+        return norm(band_coefficients((omega_star - omega).values, backend.max_mode, warn_tail=False))
+
+    omega = BoundaryFunction.zeros(inner)
+    floor = 1e-14 * error_norm(omega)
+    for _ in range(5):
+        before = error_norm(omega)
+        v = backend.solve_primary(omega, q_bar)
+        omega = omega - rho * backend.solve_adjoint(2.0 * (v - u_bar))
+        assert error_norm(omega) <= delta * before * (1.0 + 1e-12) + floor
 
 
 def test_solve_series_single_mode_trace():
-    w = FourierBoundary({2: 0.5, -2: 0.5}, R_IN)
-    series = solve_series(FourierBoundary.zero(R_OUT), w, R_IN, R_OUT)
+    series = solve_series(np.zeros(3), np.array([0.0, 0.0, 0.5]), R_IN, R_OUT)
     outer = series.trace(R_OUT)
-    assert math.isclose(outer.get(2).real, (9.0 / 41.0) * 0.5, rel_tol=1e-14)
-    assert abs(outer.get(0)) == 0.0
+    assert math.isclose(outer[2].real, (9.0 / 41.0) * 0.5, rel_tol=1e-14)
+    assert abs(outer[0]) == 0.0
 
 
 def test_solve_series_reproduces_quadratic_harmonic():
     # flux 6 cos 2t at r = 3 with inner trace cos 2t comes from r^2 cos 2t
-    g = FourierBoundary({2: 3.0, -2: 3.0}, R_OUT)
-    w = FourierBoundary({2: 0.5, -2: 0.5}, R_IN)
-    series = solve_series(g, w, R_IN, R_OUT)
+    series = solve_series(np.array([0.0, 0.0, 3.0]), np.array([0.0, 0.0, 0.5]), R_IN, R_OUT)
     for r in (1.0, 1.7, 3.0):
-        assert math.isclose(series.trace(r).get(2).real, 0.5 * r * r, rel_tol=1e-13)
-        assert math.isclose(series.radial_derivative(r).get(2).real, r, rel_tol=1e-13)
+        assert math.isclose(series.trace(r)[2].real, 0.5 * r * r, rel_tol=1e-13)
+        assert math.isclose(series.radial_derivative(r)[2].real, r, rel_tol=1e-13)
 
 
 def test_solve_series_zero_data():
-    series = solve_series(FourierBoundary.zero(R_OUT), FourierBoundary.zero(R_IN), R_IN, R_OUT)
-    assert series.trace(2.0).coeffs == {}
+    series = solve_series(np.zeros(4), np.zeros(4), R_IN, R_OUT)
+    assert not series.trace(2.0).any()
 
 
 def test_solve_series_reproduces_boundary_data():
     rng = np.random.default_rng(7)
-    coeffs_g = {0: complex(rng.standard_normal(), 0.0)}
-    coeffs_w = {0: complex(rng.standard_normal(), 0.0)}
-    for j in range(1, 9):
-        a = complex(rng.standard_normal(), rng.standard_normal())
-        b = complex(rng.standard_normal(), rng.standard_normal())
-        coeffs_g[j], coeffs_g[-j] = a, a.conjugate()
-        coeffs_w[j], coeffs_w[-j] = b, b.conjugate()
-    g = FourierBoundary(coeffs_g, R_OUT)
-    w = FourierBoundary(coeffs_w, R_IN)
+    g, w = random_band(rng, 8), random_band(rng, 8)
     series = solve_series(g, w, R_IN, R_OUT)
     inner = series.trace(R_IN)
     outer_flux = series.radial_derivative(R_OUT)
-    for j in range(-8, 9):
-        assert abs(inner.get(j) - w.get(j)) <= 1e-12 * max(1.0, abs(w.get(j)))
-        assert abs(outer_flux.get(j) - g.get(j)) <= 1e-12 * max(1.0, abs(g.get(j)))
+    assert (np.abs(inner - w) <= 1e-12 * np.maximum(1.0, np.abs(w))).all()
+    assert (np.abs(outer_flux - g) <= 1e-12 * np.maximum(1.0, np.abs(g))).all()
 
 
 def test_solve_series_radius_validation():
     with pytest.raises(ValueError):
-        solve_series(FourierBoundary.zero(R_IN), FourierBoundary.zero(R_IN), R_IN, R_OUT)
+        solve_series(np.zeros(3), np.zeros(4), R_IN, R_OUT)
     with pytest.raises(ValueError):
-        solve_series(FourierBoundary.zero(R_OUT), FourierBoundary.zero(R_OUT), R_IN, R_OUT)
-    series = solve_series(FourierBoundary.zero(R_OUT), FourierBoundary.zero(R_IN), R_IN, R_OUT)
+        solve_series(np.zeros(3), np.zeros(3), R_OUT, R_IN)
+    series = solve_series(np.zeros(3), np.zeros(3), R_IN, R_OUT)
     with pytest.raises(ValueError):
         series.trace(0.5)
 
 
 def test_gradient_matches_two_solve_composition():
-    """Closed-form gradient coefficients equal the primary/adjoint composition."""
+    """Closed-form gradient coefficients -C_j a_j equal the primary/adjoint composition."""
     rng = np.random.default_rng(11)
-    coeffs = {0: complex(rng.standard_normal(), 0.0)}
-    for j in range(1, 5):
-        a = complex(rng.standard_normal(), rng.standard_normal())
-        coeffs[j], coeffs[-j] = a, a.conjugate()
-    mu = FourierBoundary(coeffs, R_IN)
+    mu = random_band(rng, 4)
 
-    primary = solve_series(FourierBoundary.zero(R_OUT), mu, R_IN, R_OUT)
-    driver = primary.trace(R_OUT).scaled(2.0)
-    adjoint = solve_series(driver, FourierBoundary.zero(R_IN), R_IN, R_OUT)
+    primary = solve_series(np.zeros(5), mu, R_IN, R_OUT)
+    adjoint = solve_series(2.0 * primary.trace(R_OUT), np.zeros(5), R_IN, R_OUT)
     # d/dr at the inner circle equals +C_j a_j; the gradient flips the sign
     flux = adjoint.radial_derivative(R_IN)
 
-    grad = gradient_coefficients(mu, R_OUT)
-    for j in mu.modes:
-        assert abs(grad.get(j) + flux.get(j)) <= 1e-13 * abs(flux.get(j))
+    grad = -gradient_factors(4) * mu
+    assert (np.abs(grad + flux) <= 1e-13 * np.abs(flux)).all()
+
+
+@pytest.mark.parametrize("r_inner, r_outer", [(1.0, 3.0), (2.0, 2.5)])
+def test_prepared_responses_match_closed_forms(r_inner, r_outer):
+    """The backend's per-mode responses against their closed forms, with
+    q = r/R: the outer trace of unit Dirichlet data is T_m, that of unit
+    Neumann data (R/m)(1 - q^2m)/(1 + q^2m) (R*log(R/r) at m = 0), and the
+    inner gradient of unit Neumann data (R/r)*T_m."""
+    backend = SpectralBackend(r_inner, r_outer, n_angular=160, max_mode=64)
+    assert backend.max_mode == 64
+    m = np.arange(1, 65)
+    q2m = (r_inner / r_outer) ** (2 * m)
+    t = np.array([trace_factor(j, r_inner, r_outer) for j in range(65)])
+    neumann_trace = np.concatenate(
+        ([r_outer * math.log(r_outer / r_inner)], (r_outer / m) * (1.0 - q2m) / (1.0 + q2m))
+    )
+    for got, want in (
+        (backend.dirichlet_trace, t),
+        (backend.neumann_trace, neumann_trace),
+        (backend.neumann_gradient, (r_outer / r_inner) * t),
+    ):
+        assert (np.abs(got - want) <= 1e-14 * np.abs(want)).all()
