@@ -1,9 +1,10 @@
 """Boundary rings and nodal functions living on them.
 
-The annulus has two boundary circles. Discretely each one is a closed
-polygon of nodes at strictly increasing angles, and a function on a ring
-is stored by nodal value in that order. Ring quadrature uses the chord
-lengths of the polygon rather than arc lengths, so boundary integrals are
+The annulus has two boundary circles. Discretely each one is a regular
+polygon of equispaced nodes, the only rings on which the per-mode theory
+and the ``rfft`` of both backends hold, and a function on a ring is
+stored by nodal value in angle order. Ring quadrature uses the polygon's
+one chord length rather than the arc length, so boundary integrals are
 consistent with the piecewise-linear finite element space whose nodes sit
 on the same polygon.
 """
@@ -20,7 +21,6 @@ Array = np.ndarray
 __all__ = [
     "BoundaryRing",
     "BoundaryFunction",
-    "make_ring",
     "rings_compatible",
     "ring_mass_apply",
     "boundary_inner_product",
@@ -30,67 +30,43 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class BoundaryRing:
-    """Closed ring of boundary nodes in increasing angle order.
+    """Closed ring of ``size`` equispaced boundary nodes, node k at angle
+    ``2*pi*k/size``.
 
     ``node_ids`` holds the global mesh indices of the ring nodes when the
     ring belongs to a mesh; rings used by the spectral backend carry None.
-    ``chord_lengths[i]`` is the length of the polygon edge from node i to
-    node i+1 (cyclic) and ``lumped_weights[i]`` half the total length of
-    the two edges at node i; both are computed once, at construction.
+    ``angles`` and ``chord``, the length of every polygon edge and so the
+    lumped quadrature weight of every node, are derived at construction.
     """
 
     side: str
     radius: float
-    angles: Array
+    size: int
     node_ids: Array | None = None
-    chord_lengths: Array = field(init=False, repr=False)
-    lumped_weights: Array = field(init=False, repr=False)
+    angles: Array = field(init=False, repr=False)
+    chord: float = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.side not in ("inner", "outer"):
             raise ValueError(f"ring side must be 'inner' or 'outer', got {self.side!r}")
         if not self.radius > 0.0:
             raise ValueError("ring radius must be positive")
-        angles = np.asarray(self.angles, dtype=float)
-        if angles.ndim != 1 or angles.size < 3:
-            raise ValueError("a ring needs at least 3 nodes")
-        if angles[0] < 0.0 or angles[-1] >= 2.0 * np.pi or np.any(np.diff(angles) <= 0.0):
-            raise ValueError("ring angles must be strictly increasing within [0, 2*pi)")
+        if not isinstance(self.size, (int, np.integer)) or self.size < 3:
+            raise ValueError(f"a ring needs a whole number of at least 3 nodes, got {self.size!r}")
+        angles = 2.0 * np.pi * np.arange(self.size) / self.size
+        angles.flags.writeable = False
         object.__setattr__(self, "angles", angles)
-        gaps = np.diff(np.append(angles, angles[0] + 2.0 * np.pi))
-        chords = 2.0 * self.radius * np.sin(0.5 * gaps)
-        lumped = 0.5 * (chords + np.roll(chords, 1))
-        chords.flags.writeable = False
-        lumped.flags.writeable = False
-        object.__setattr__(self, "chord_lengths", chords)
-        object.__setattr__(self, "lumped_weights", lumped)
+        object.__setattr__(self, "chord", 2.0 * self.radius * math.sin(math.pi / self.size))
         if self.node_ids is not None:
             ids = np.asarray(self.node_ids, dtype=int)
-            if ids.shape != angles.shape:
-                raise ValueError("node_ids must match the number of ring angles")
+            if ids.shape != (self.size,):
+                raise ValueError("node_ids must hold one index per ring node")
             object.__setattr__(self, "node_ids", ids)
-
-    @property
-    def size(self) -> int:
-        return int(self.angles.size)
-
-
-def make_ring(side: str, radius: float, n_angular: int) -> BoundaryRing:
-    """Mesh-free ring of ``n_angular`` equispaced nodes starting at angle 0."""
-    if n_angular < 3:
-        raise ValueError("n_angular must be at least 3")
-    angles = 2.0 * np.pi * np.arange(n_angular) / n_angular
-    return BoundaryRing(side=side, radius=radius, angles=angles)
 
 
 def rings_compatible(a: BoundaryRing, b: BoundaryRing) -> bool:
     """True when functions on the two rings may be combined nodewise."""
-    return a is b or (
-        a.side == b.side
-        and a.size == b.size
-        and a.radius == b.radius
-        and np.array_equal(a.angles, b.angles)
-    )
+    return a is b or (a.side, a.radius, a.size) == (b.side, b.radius, b.size)
 
 
 @dataclass
@@ -141,22 +117,19 @@ class BoundaryFunction:
 def ring_mass_apply(ring: BoundaryRing, values: Array) -> Array:
     """Apply the ring's piecewise-linear mass matrix to nodal values.
 
-    Edge (a, b) of length h contributes the local mass h/6 * [[2, 1], [1, 2]],
-    so the result is the weak-form load of a piecewise-linear line density.
+    Every edge has length ``chord`` and contributes the local mass
+    chord/6 * [[2, 1], [1, 2]], so the result is the weak-form load of a
+    piecewise-linear line density.
     """
     v = np.asarray(values, dtype=float)
-    h = ring.chord_lengths
-    nxt = np.roll(v, -1)
-    to_first = h * (2.0 * v + nxt) / 6.0
-    to_second = h * (v + 2.0 * nxt) / 6.0
-    return to_first + np.roll(to_second, 1)
+    return ring.chord / 6.0 * (4.0 * v + np.roll(v, 1) + np.roll(v, -1))
 
 
 def boundary_inner_product(f: BoundaryFunction, g: BoundaryFunction) -> float:
     """Trapezoidal line integral of f*g over the ring polygon."""
     if not rings_compatible(f.ring, g.ring):
         raise ValueError("inner product requires functions on the same ring")
-    return float(np.dot(f.ring.lumped_weights, f.values * g.values))
+    return f.ring.chord * float(np.dot(f.values, g.values))
 
 
 def boundary_norm(f: BoundaryFunction) -> float:

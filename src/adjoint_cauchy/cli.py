@@ -86,6 +86,25 @@ def _number(value: Any, context: str) -> float:
     raise ConfigError(f"{context}: expected a number, got {value!r}")
 
 
+def _count(value: Any, context: str) -> int:
+    """Accept a JSON whole number; booleans, fractions and strings are errors."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or value % 1:
+        raise ConfigError(f"{context}: expected a whole number, got {value!r}")
+    return int(value)
+
+
+def _flag(value: Any, context: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{context}: expected true or false, got {value!r}")
+    return value
+
+
+def _only_keys(obj: dict, allowed: set[str], context: str) -> None:
+    extra = set(obj) - allowed
+    if extra:
+        raise ConfigError(f"{context}: unknown fields {sorted(extra)}")
+
+
 def _section(cfg: dict, key: str) -> dict:
     value = cfg.get(key)
     if not isinstance(value, dict):
@@ -130,13 +149,12 @@ def _radii(cfg: dict) -> tuple[float, float]:
 def _mesh_spec(cfg: dict) -> AnnulusSpec:
     inner, outer = _radii(cfg)
     mesh = _section(cfg, "mesh")
+    _only_keys(mesh, {"n_radial", "n_angular"}, "mesh")
     try:
-        n_radial = int(mesh["n_radial"])
-        n_angular = int(mesh["n_angular"])
+        n_radial = _count(mesh["n_radial"], "mesh.n_radial")
+        n_angular = _count(mesh["n_angular"], "mesh.n_angular")
     except KeyError as exc:
         raise ConfigError(f"mesh needs {exc.args[0]!r}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("mesh resolutions must be integers") from exc
     try:
         return AnnulusSpec(inner, outer, n_radial, n_angular)
     except ValueError as exc:
@@ -157,11 +175,12 @@ def _data_terms(cfg: dict) -> tuple[HarmonicTerm, ...]:
         for i, raw in enumerate(data["terms"]):
             if not isinstance(raw, dict):
                 raise ConfigError(f"data.terms[{i}] must be an object")
+            _only_keys(raw, {"amplitude", "mode", "kind"}, f"data.terms[{i}]")
             try:
                 terms.append(
                     HarmonicTerm(
                         amplitude=_number(raw["amplitude"], f"data.terms[{i}].amplitude"),
-                        mode=int(raw["mode"]),
+                        mode=_count(raw["mode"], f"data.terms[{i}].mode"),
                         kind=raw["kind"],
                     )
                 )
@@ -177,37 +196,34 @@ def _strategy(obj: Any, context: str = "strategy") -> StepStrategy:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ConfigError(f"{context} must be an object with a 'kind' field")
     kind = obj["kind"]
-    known = {k for k in obj if k != "kind"}
-
-    def reject_extra(allowed: set[str]) -> None:
-        extra = known - allowed
-        if extra:
-            raise ConfigError(f"{context}: unknown fields {sorted(extra)} for kind {kind!r}")
-
+    where = f"{context} of kind {kind!r}"
     try:
         if kind == "constant":
-            reject_extra({"rho"})
+            _only_keys(obj, {"kind", "rho"}, where)
             return Constant(rho=_number(obj["rho"], f"{context}.rho"))
         if kind == "armijo":
-            reject_extra({"xi", "tau"})
+            _only_keys(obj, {"kind", "xi", "tau"}, where)
             return Armijo(
                 xi=_number(obj.get("xi", 1.0 / 3.0), f"{context}.xi"),
                 tau=_number(obj.get("tau", 0.5), f"{context}.tau"),
             )
         if kind == "optimal":
-            reject_extra({"mode_min", "mode_max"})
-            return OptimalTwoMode(mode_min=int(obj["mode_min"]), mode_max=int(obj["mode_max"]))
+            _only_keys(obj, {"kind", "mode_min", "mode_max"}, where)
+            return OptimalTwoMode(
+                mode_min=_count(obj["mode_min"], f"{context}.mode_min"),
+                mode_max=_count(obj["mode_max"], f"{context}.mode_max"),
+            )
         if kind == "sweep":
-            reject_extra({"mode_min", "mode_max", "direction", "tail_rho"})
+            _only_keys(obj, {"kind", "mode_min", "mode_max", "direction", "tail_rho"}, where)
             tail = obj.get("tail_rho")
             return ModeSweep(
-                mode_min=int(obj["mode_min"]),
-                mode_max=int(obj["mode_max"]),
+                mode_min=_count(obj["mode_min"], f"{context}.mode_min"),
+                mode_max=_count(obj["mode_max"], f"{context}.mode_max"),
                 direction=obj.get("direction", "descending"),
                 tail_rho=None if tail is None else _number(tail, f"{context}.tail_rho"),
             )
         if kind == "schedule":
-            reject_extra({"rhos", "tail_rho"})
+            _only_keys(obj, {"kind", "rhos", "tail_rho"}, where)
             rhos = obj["rhos"]
             if not isinstance(rhos, list) or not rhos:
                 raise ConfigError(f"{context}.rhos must be a non-empty list")
@@ -227,12 +243,13 @@ def _stop_rule(cfg: dict) -> StopRule:
     stop = cfg.get("stop", {})
     if not isinstance(stop, dict):
         raise ConfigError("stop must be an object")
+    _only_keys(stop, {"j_tol", "grad_eps", "max_iters"}, "stop")
     defaults = StopRule()
     try:
         return StopRule(
             j_tol=_number(stop.get("j_tol", defaults.j_tol), "stop.j_tol"),
             grad_eps=_number(stop.get("grad_eps", defaults.grad_eps), "stop.grad_eps"),
-            max_iters=int(stop.get("max_iters", defaults.max_iters)),
+            max_iters=_count(stop.get("max_iters", defaults.max_iters), "stop.max_iters"),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"stop: {exc}") from exc
@@ -449,11 +466,13 @@ def cmd_oracle_check(cfg: dict) -> int:
     oracle = cfg.get("oracle", {})
     if not isinstance(oracle, dict):
         raise ConfigError("oracle must be an object")
+    _only_keys(oracle, {"modes", "tolerance", "refine", "min_ratio"}, "oracle")
     modes = oracle.get("modes", [0, 1, 2, 3])
-    if not isinstance(modes, list) or not all(isinstance(m, int) for m in modes):
-        raise ConfigError("oracle.modes must be a list of integers")
+    if not isinstance(modes, list):
+        raise ConfigError("oracle.modes must be a list of whole numbers")
+    modes = [_count(m, f"oracle.modes[{i}]") for i, m in enumerate(modes)]
     tolerance = _number(oracle.get("tolerance", 0.01), "oracle.tolerance")
-    refine = bool(oracle.get("refine", False))
+    refine = _flag(oracle.get("refine", False), "oracle.refine")
     min_ratio = _number(oracle.get("min_ratio", 3.0), "oracle.min_ratio")
 
     results = oracle_check(spec, tuple(modes), tolerance, refine, min_ratio)

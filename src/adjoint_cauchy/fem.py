@@ -17,10 +17,11 @@ solver (Hockney 1965, Swarztrauber 1977).
 The outward normal flux on the inner circle is recovered variationally:
 for a discrete solution whose load vanishes at inner-ring nodes, the
 stiffness residual restricted to those nodes equals the ring mass applied
-to the flux, so dividing by the lumped ring weights gives nodal flux
-values. Together with the matching boundary quadratures used for the
-Neumann load and the misfit functional, this makes the adjoint gradient
-of the discrete functional exact up to rounding.
+to the flux, so dividing by the lumped ring weight, which on the regular
+ring polygon is its one chord length, gives nodal flux values. Together
+with the matching boundary quadratures used for the Neumann load and the
+misfit functional, this makes the adjoint gradient of the discrete
+functional exact up to rounding.
 """
 
 from __future__ import annotations
@@ -211,20 +212,20 @@ def trace(field: Array, ring: BoundaryRing) -> BoundaryFunction:
 
 
 def flux_rows(mesh: AnnulusMesh, stencils: Array | None = None) -> tuple[Array, Array]:
-    """Inner-ring rows of the stiffness, divided by the lumped ring weights.
+    """Inner-ring rows of the stiffness, divided by the ring's chord.
 
-    Returns node ids and weights, both of shape ``(n_angular, 6)``: for
-    inner node j, the nodes of levels 0 and 1 at angular positions j - 1,
-    j and j + 1, and level 0's stencil entries for them divided by node j's
-    lumped weight. ``stencils`` default to ``assemble_stiffness(mesh)``.
+    Returns node ids of shape ``(n_angular, 6)``, for inner node j the nodes
+    of levels 0 and 1 at angular positions j - 1, j and j + 1, and the six
+    weights every inner node shares: level 0's stencil entries for those
+    nodes divided by the chord, each node's lumped ring weight.
+    ``stencils`` default to ``assemble_stiffness(mesh)``.
     """
     if stencils is None:
         stencils = assemble_stiffness(mesh)
     n_angular = mesh.spec.n_angular
     positions = (np.arange(n_angular)[:, None] + np.arange(-1, 2)) % n_angular
     ids = np.hstack((positions, positions + n_angular))
-    weights = stencils[0, 1:].ravel() / mesh.inner_ring.lumped_weights[:, None]
-    return ids, weights
+    return ids, stencils[0, 1:].ravel() / mesh.inner_ring.chord
 
 
 def normal_flux(
@@ -236,11 +237,10 @@ def normal_flux(
 
     Valid for fields produced by ``solve_mixed_bvp``: their load vanishes
     at inner-ring nodes, so the stiffness residual there is the ring mass
-    applied to the flux. The residual divided by the lumped ring weights
+    applied to the flux. The residual divided by the lumped ring weight
     is the nodal flux, with the normal pointing out of the annulus
     (toward the origin). ``inner_rows`` are ``flux_rows(mesh)``; pass them
     to reuse one preparation across calls.
     """
     ids, weights = flux_rows(mesh) if inner_rows is None else inner_rows
-    values = np.asarray(field, dtype=float)[ids]
-    return BoundaryFunction(mesh.inner_ring, np.einsum("ij,ij->i", values, weights))
+    return BoundaryFunction(mesh.inner_ring, np.asarray(field, dtype=float)[ids] @ weights)

@@ -37,7 +37,6 @@ from .boundary import (
     BoundaryFunction,
     BoundaryRing,
     boundary_norm,
-    make_ring,
     ring_mass_apply,
     rings_compatible,
 )
@@ -69,7 +68,8 @@ __all__ = [
 ]
 
 # Consecutive functional increases tolerated before a non-line-search run
-# is declared divergent.
+# is declared divergent. The steps of a mode sweep may raise the functional
+# by design, so rises they cause are not counted.
 DIVERGENCE_PATIENCE = 5
 
 
@@ -249,8 +249,8 @@ class SpectralBackend:
         self.r_inner = r_inner
         self.r_outer = r_outer
         self.max_mode = min(max_mode, (n_angular - 1) // 2)
-        self.inner_ring = make_ring("inner", r_inner, n_angular)
-        self.outer_ring = make_ring("outer", r_outer, n_angular)
+        self.inner_ring = BoundaryRing("inner", r_inner, n_angular)
+        self.outer_ring = BoundaryRing("outer", r_outer, n_angular)
 
         ones, zeros = np.ones(self.max_mode + 1), np.zeros(self.max_mode + 1)
         from_dirichlet = solve_series(zeros, ones, r_inner, r_outer)
@@ -343,8 +343,8 @@ def run(
     carries NaN for the step and, unless the gradient threshold fired,
     for the gradient norm. Hitting ``max_iters`` returns a result flagged
     not converged rather than raising; a functional that is not finite, or
-    that keeps increasing under a fixed-step strategy, raises
-    ``DivergenceError``.
+    that keeps increasing under a fixed-step strategy past the steps of a
+    mode sweep, raises ``DivergenceError``.
     """
     if not rings_compatible(data.u_bar.ring, backend.outer_ring):
         raise ValueError("Cauchy data does not match the backend's outer ring")
@@ -358,6 +358,7 @@ def run(
     counters = SolveCounters()
     history: list[IterationRecord] = []
     line_search = isinstance(strategy, step_rules.Armijo)
+    planned_rises = strategy.length if isinstance(strategy, step_rules.ModeSweep) else 0
     previous_j = math.inf
     increases = 0
     iterations = 0
@@ -373,7 +374,8 @@ def run(
                 "the iterates overflowed",
                 history,
             )
-        if j_value > previous_j:
+        # iterate k is the result of step k - 1
+        if j_value > previous_j and k > planned_rises:
             increases += 1
             if not line_search and increases >= DIVERGENCE_PATIENCE:
                 raise DivergenceError(

@@ -56,7 +56,6 @@ class AnnulusMesh:
     spec: AnnulusSpec
     nodes: Array
     triangles: Array
-    node_angles: Array
     inner_ring: BoundaryRing
     outer_ring: BoundaryRing
 
@@ -77,16 +76,14 @@ def generate_mesh(spec: AnnulusSpec) -> AnnulusMesh:
     """
     nr, na = spec.n_radial, spec.n_angular
     radii = np.linspace(spec.r_inner, spec.r_outer, nr + 1)
-    theta = 2.0 * np.pi * np.arange(na) / na
+    inner_ring = BoundaryRing("inner", spec.r_inner, na, np.arange(na))
+    outer_ring = BoundaryRing("outer", spec.r_outer, na, nr * na + np.arange(na))
 
     r_grid = np.repeat(radii, na)
-    t_grid = np.tile(theta, nr + 1)
+    t_grid = np.tile(inner_ring.angles, nr + 1)
     nodes = np.column_stack((r_grid * np.cos(t_grid), r_grid * np.sin(t_grid)))
     triangles = structured_triangles(nr, na)
-
-    inner_ring = BoundaryRing("inner", spec.r_inner, theta.copy(), np.arange(na))
-    outer_ring = BoundaryRing("outer", spec.r_outer, theta.copy(), nr * na + np.arange(na))
-    return AnnulusMesh(spec, nodes, triangles, t_grid, inner_ring, outer_ring)
+    return AnnulusMesh(spec, nodes, triangles, inner_ring, outer_ring)
 
 
 def structured_triangles(n_radial: int, n_angular: int) -> Array:

@@ -100,6 +100,11 @@ class ModeSweep:
         if self.tail_rho is not None and not self.tail_rho > 0.0:
             raise ValueError("tail step size must be positive")
 
+    @property
+    def length(self) -> int:
+        """Number of sweep steps, one per band mode."""
+        return self.mode_max - self.mode_min + 1
+
     def step_size(self, k: int, r_inner: float, r_outer: float) -> float:
         """Step of sweep iteration ``k``.
 
@@ -107,7 +112,7 @@ class ModeSweep:
         one band mode's gradient factor, visiting modes upward or downward;
         afterwards the tail step (``default_tail_rho`` unless given) is used.
         """
-        if k > self.mode_max - self.mode_min:
+        if k >= self.length:
             return self.tail_rho or default_tail_rho(r_inner, r_outer)
         mode = self.mode_min + k if self.direction == "ascending" else self.mode_max - k
         return 1.0 / gradient_factor(mode, r_inner, r_outer)

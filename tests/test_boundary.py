@@ -11,71 +11,75 @@ from adjoint_cauchy.boundary import (
     BoundaryRing,
     boundary_inner_product,
     boundary_norm,
-    make_ring,
     ring_mass_apply,
     rings_compatible,
 )
 
 
-def test_make_ring_equispaced():
-    ring = make_ring("inner", 1.0, 4)
+def test_ring_angles_are_equispaced():
+    ring = BoundaryRing("inner", 1.0, 4)
     assert ring.size == 4
     assert_allclose(ring.angles, [0.0, np.pi / 2, np.pi, 3 * np.pi / 2])
     assert ring.node_ids is None
+    with pytest.raises(ValueError):
+        ring.angles[0] = 1.0  # derived from the size, so read-only
 
 
 def test_make_ring_rejects_tiny():
-    with pytest.raises(ValueError):
-        make_ring("inner", 1.0, 2)
+    for size in (2, 0, -3, 8.0, True):
+        with pytest.raises(ValueError, match="at least 3 nodes"):
+            BoundaryRing("inner", 1.0, size)
 
 
 def test_ring_validation():
-    angles = np.array([0.0, 1.0, 2.0])
-    with pytest.raises(ValueError):
-        BoundaryRing("top", 1.0, angles)
-    with pytest.raises(ValueError):
-        BoundaryRing("inner", -1.0, angles)
-    with pytest.raises(ValueError):
-        BoundaryRing("inner", 1.0, np.array([0.0, 2.0, 1.0]))
-    with pytest.raises(ValueError):
-        BoundaryRing("inner", 1.0, np.array([0.0, 1.0, 7.0]))
+    with pytest.raises(ValueError, match="side"):
+        BoundaryRing("top", 1.0, 8)
+    for radius in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="radius"):
+            BoundaryRing("inner", radius, 8)
+    for node_ids in (np.arange(7), np.arange(9), np.arange(8).reshape(2, 4)):
+        with pytest.raises(ValueError, match="node_ids"):
+            BoundaryRing("inner", 1.0, 8, node_ids)
+    assert BoundaryRing("inner", 1.0, 8, range(8)).node_ids.tolist() == list(range(8))
 
 
 def test_rings_compatible():
-    a = make_ring("inner", 1.0, 8)
-    assert rings_compatible(a, make_ring("inner", 1.0, 8))
-    assert not rings_compatible(a, make_ring("outer", 1.0, 8))
-    assert not rings_compatible(a, make_ring("inner", 2.0, 8))
-    assert not rings_compatible(a, make_ring("inner", 1.0, 16))
+    a = BoundaryRing("inner", 1.0, 8)
+    assert rings_compatible(a, BoundaryRing("inner", 1.0, 8))
+    assert rings_compatible(a, BoundaryRing("inner", 1.0, 8, np.arange(8)))
+    assert not rings_compatible(a, BoundaryRing("outer", 1.0, 8))
+    assert not rings_compatible(a, BoundaryRing("inner", 2.0, 8))
+    assert not rings_compatible(a, BoundaryRing("inner", 1.0, 16))
 
 
 def test_chord_lengths_regular_polygon():
-    ring = make_ring("outer", 3.0, 160)
-    h = ring.chord_lengths
-    assert_allclose(h, 2 * 3.0 * math.sin(math.pi / 160))
+    ring = BoundaryRing("outer", 3.0, 160)
+    assert ring.chord == 2 * 3.0 * math.sin(math.pi / 160)
     # inscribed 160-gon perimeter, radius 3
-    assert math.isclose(h.sum(), 18.84834476220317, rel_tol=1e-15)
+    assert math.isclose(ring.size * ring.chord, 18.84834476220317, rel_tol=1e-15)
 
 
 def test_lumped_weights_sum_to_perimeter():
-    ring = make_ring("inner", 1.0, 64)
-    w = ring.lumped_weights
-    assert math.isclose(w.sum(), 6.280662313909506, rel_tol=1e-15)
-    assert np.all(w > 0)
+    """Every node's trapezoid weight is the chord; together they make the
+    inscribed 64-gon's perimeter."""
+    ring = BoundaryRing("inner", 1.0, 64)
+    one = BoundaryFunction(ring, np.ones(64))
+    assert math.isclose(boundary_inner_product(one, one), 6.280662313909506, rel_tol=1e-15)
+    assert ring.chord > 0
 
 
 def test_mass_apply_matches_dense_assembly():
     """Cyclic assembly of the h/6 * [[2, 1], [1, 2]] edge blocks."""
-    ring = make_ring("inner", 2.0, 5)
-    h = ring.chord_lengths
+    ring = BoundaryRing("inner", 2.0, 5)
+    h = ring.chord
     n = ring.size
     dense = np.zeros((n, n))
     for e in range(n):
         a, b = e, (e + 1) % n
-        dense[a, a] += 2 * h[e] / 6
-        dense[b, b] += 2 * h[e] / 6
-        dense[a, b] += h[e] / 6
-        dense[b, a] += h[e] / 6
+        dense[a, a] += 2 * h / 6
+        dense[b, b] += 2 * h / 6
+        dense[a, b] += h / 6
+        dense[b, a] += h / 6
     rng = np.random.default_rng(3)
     for _ in range(5):
         v = rng.standard_normal(n)
@@ -84,27 +88,27 @@ def test_mass_apply_matches_dense_assembly():
 
 def test_inner_product_constant_is_polygon_perimeter():
     # square inscribed in the unit circle: 4 * sqrt(2)
-    ring = make_ring("inner", 1.0, 4)
+    ring = BoundaryRing("inner", 1.0, 4)
     one = BoundaryFunction(ring, np.ones(4))
     assert math.isclose(boundary_inner_product(one, one), 5.65685424949238, rel_tol=1e-15)
 
 
 def test_inner_product_orthogonality():
-    ring = make_ring("inner", 1.0, 64)
+    ring = BoundaryRing("inner", 1.0, 64)
     f = BoundaryFunction(ring, np.cos(ring.angles))
     g = BoundaryFunction(ring, np.sin(ring.angles))
     assert abs(boundary_inner_product(f, g)) < 1e-10
 
 
 def test_inner_product_cos_squared_near_pi():
-    ring = make_ring("inner", 1.0, 64)
+    ring = BoundaryRing("inner", 1.0, 64)
     f = BoundaryFunction(ring, np.cos(2 * ring.angles))
     value = boundary_inner_product(f, f)
     assert abs(value - math.pi) / math.pi < 1e-3
 
 
 def test_inner_product_symmetric_bilinear():
-    ring = make_ring("outer", 3.0, 32)
+    ring = BoundaryRing("outer", 3.0, 32)
     rng = np.random.default_rng(12)
     for _ in range(10):
         f = BoundaryFunction(ring, rng.standard_normal(32))
@@ -118,14 +122,14 @@ def test_inner_product_symmetric_bilinear():
 
 
 def test_inner_product_ring_mismatch():
-    f = BoundaryFunction.zeros(make_ring("inner", 1.0, 8))
-    g = BoundaryFunction.zeros(make_ring("outer", 3.0, 8))
+    f = BoundaryFunction.zeros(BoundaryRing("inner", 1.0, 8))
+    g = BoundaryFunction.zeros(BoundaryRing("outer", 3.0, 8))
     with pytest.raises(ValueError):
         boundary_inner_product(f, g)
 
 
 def test_function_arithmetic():
-    ring = make_ring("inner", 1.0, 8)
+    ring = BoundaryRing("inner", 1.0, 8)
     f = BoundaryFunction.from_callable(ring, math.sin)
     assert_allclose(f.values, np.sin(ring.angles))
     g = 2.0 * f - f
@@ -137,12 +141,12 @@ def test_function_arithmetic():
 
 
 def test_function_shape_validation():
-    ring = make_ring("inner", 1.0, 8)
+    ring = BoundaryRing("inner", 1.0, 8)
     with pytest.raises(ValueError):
         BoundaryFunction(ring, np.zeros(7))
 
 
 def test_boundary_norm_constant():
-    ring = make_ring("outer", 3.0, 160)
+    ring = BoundaryRing("outer", 3.0, 160)
     one = BoundaryFunction(ring, np.ones(ring.size))
     assert math.isclose(boundary_norm(one), math.sqrt(18.84834476220317), rel_tol=1e-15)

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from adjoint_cauchy import AnnulusSpec, cli
-from adjoint_cauchy.cli import ConfigError, _number, main, oracle_check
+from adjoint_cauchy.cli import ConfigError, _count, _number, main, oracle_check
 
 BASE = {
     "radii": {"inner": 1.0, "outer": 3.0},
@@ -145,6 +145,60 @@ def test_non_finite_config_numbers_exit_one(tmp_path, capsys, field, literal):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+ORACLE = {
+    "radii": {"inner": 1.0, "outer": 3.0},
+    "mesh": {"n_radial": 6, "n_angular": 32},
+    "oracle": {"modes": [0, 1], "tolerance": 0.05},
+}
+
+
+def one_term(**fields):
+    return {"terms": [{"amplitude": 1.0, "mode": 2, "kind": "cos", **fields}]}
+
+
+@pytest.mark.parametrize(
+    "command, cfg",
+    [
+        pytest.param("run", dict(BASE, mesh={"n_radial": 6.9, "n_angular": 32}), id="n_radial-6.9"),
+        pytest.param("run", dict(BASE, mesh={"n_radial": 6, "n_angular": "32"}), id="n_angular-str"),
+        pytest.param("run", dict(BASE, stop={"max_iters": 2.7}), id="max_iters-2.7"),
+        pytest.param("run", dict(BASE, stop={"max_iters": True}), id="max_iters-true"),
+        pytest.param("run", dict(BASE, stop={"max_iter": 5}), id="stop-unknown-key"),
+        pytest.param("run", dict(BASE, data=one_term(mode=2.5)), id="term-mode-2.5"),
+        pytest.param("run", dict(BASE, data=one_term(phase=0.5)), id="term-unknown-key"),
+        pytest.param(
+            "run",
+            dict(BASE, strategy={"kind": "sweep", "mode_min": 0, "mode_max": 2.9}),
+            id="sweep-mode_max-2.9",
+        ),
+        pytest.param(
+            "run",
+            dict(BASE, strategy={"kind": "optimal", "mode_min": False, "mode_max": 2}),
+            id="optimal-mode_min-false",
+        ),
+        pytest.param("oracle-check", dict(ORACLE, oracle={"modes": [True]}), id="oracle-mode-true"),
+        pytest.param("oracle-check", dict(ORACLE, oracle={"modes": [1.5]}), id="oracle-mode-1.5"),
+        pytest.param("oracle-check", dict(ORACLE, oracle={"refine": "no"}), id="refine-str"),
+        pytest.param("oracle-check", dict(ORACLE, oracle={"refine": 1}), id="refine-1"),
+        pytest.param("oracle-check", dict(ORACLE, oracle={"refin": True}), id="oracle-unknown-key"),
+    ],
+)
+def test_strict_config_values_exit_one(tmp_path, capsys, command, cfg):
+    path = write_config(tmp_path, dict(cfg, output_dir=str(tmp_path / "out")))
+    assert main([command, path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+def test_count_accepts_whole_numbers_only():
+    assert _count(6, "x") == 6
+    assert _count(6.0, "x") == 6  # how JSON may spell a whole number
+    for bad in (6.5, True, "6", None, [6]):
+        with pytest.raises(ConfigError, match="whole number"):
+            _count(bad, "x")
 
 
 def test_command_line_overrides(tmp_path):

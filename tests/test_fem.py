@@ -22,7 +22,7 @@ from adjoint_cauchy import (
     generate_mesh,
 )
 from adjoint_cauchy import iteration
-from adjoint_cauchy.boundary import boundary_norm, make_ring
+from adjoint_cauchy.boundary import BoundaryRing, boundary_norm
 from adjoint_cauchy.fem import (
     FourierSolver,
     assemble_stiffness,
@@ -107,7 +107,7 @@ def test_flux_rows_are_the_inner_rows_over_lumped_weights():
     mesh = generate_mesh(AnnulusSpec(1.0, 3.0, 3, 16))
     field = np.random.default_rng(3).standard_normal(mesh.n_nodes)
     ring = mesh.inner_ring
-    want = (sparse_stiffness(mesh)[ring.node_ids] @ field) / ring.lumped_weights
+    want = (sparse_stiffness(mesh)[ring.node_ids] @ field) / ring.chord
     got = normal_flux(field, mesh, inner_rows=flux_rows(mesh))
     assert np.abs(got.values - want).max() <= 1e-13 * np.abs(want).max()
 
@@ -154,7 +154,7 @@ def test_neumann_load_zero_and_ring_checks():
     inner = BoundaryFunction(mesh.inner_ring, np.ones(16))
     load = neumann_load(mesh, inner)
     assert math.isclose(load.sum(), 2 * 16 * 1.0 * math.sin(math.pi / 16), rel_tol=1e-14)
-    foreign = BoundaryFunction.zeros(make_ring("outer", 3.0, 12))
+    foreign = BoundaryFunction.zeros(BoundaryRing("outer", 3.0, 12))
     with pytest.raises(ValueError):
         neumann_load(mesh, foreign)
 
@@ -202,7 +202,7 @@ def test_trace_extracts_ring_values(default_mesh):
     )
     assert np.array_equal(trace(v, mesh.inner_ring).values, np.ones(mesh.inner_ring.size))
     with pytest.raises(ValueError):
-        trace(field, make_ring("inner", 1.0, mesh.inner_ring.size))
+        trace(field, BoundaryRing("inner", 1.0, mesh.inner_ring.size))
 
 
 def test_normal_flux_constant_field(default_mesh):
@@ -316,14 +316,14 @@ def test_solve_ring_validation():
     with pytest.raises(ValueError):
         solve_mixed_bvp(
             mesh,
-            BoundaryFunction.zeros(make_ring("outer", 3.0, 12)),
+            BoundaryFunction.zeros(BoundaryRing("outer", 3.0, 12)),
             BoundaryFunction.zeros(mesh.inner_ring),
         )
     with pytest.raises(ValueError):
         solve_mixed_bvp(
             mesh,
             BoundaryFunction.zeros(mesh.outer_ring),
-            BoundaryFunction.zeros(make_ring("inner", 1.0, 12)),
+            BoundaryFunction.zeros(BoundaryRing("inner", 1.0, 12)),
         )
     # factors prepared for a mesh of the same shape belong to another mesh
     other = FourierSolver(generate_mesh(AnnulusSpec(1.0, 3.0, 2, 8)))

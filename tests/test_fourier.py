@@ -8,7 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from adjoint_cauchy import BoundaryFunction
-from adjoint_cauchy.boundary import boundary_inner_product, make_ring
+from adjoint_cauchy.boundary import BoundaryRing, boundary_inner_product
 from adjoint_cauchy.fourier import band_coefficients, band_samples
 
 
@@ -19,7 +19,7 @@ def random_band(rng, mode_max):
 
 
 def test_analyze_cos2theta():
-    ring = make_ring("inner", 1.0, 8)
+    ring = BoundaryRing("inner", 1.0, 8)
     c = band_coefficients(np.cos(2 * ring.angles), 3)
     assert abs(c[2] - 0.5) < 1e-12
     for j in (0, 1, 3):
@@ -28,7 +28,7 @@ def test_analyze_cos2theta():
 
 def test_analyze_mixed_signal():
     # 2 sin t - cos(t)/2 + cos(2t)/4: a_1 = -1/4 - i, a_2 = 1/8
-    ring = make_ring("inner", 1.0, 16)
+    ring = BoundaryRing("inner", 1.0, 16)
     th = ring.angles
     c = band_coefficients(2 * np.sin(th) - 0.5 * np.cos(th) + 0.25 * np.cos(2 * th), 7)
     assert abs(c[1] - (-0.25 - 1.0j)) < 1e-12
@@ -40,7 +40,7 @@ def test_analyze_zero_gives_empty():
 
 
 def test_analyze_band_cap():
-    ring = make_ring("outer", 3.0, 16)
+    ring = BoundaryRing("outer", 3.0, 16)
     values = np.cos(5 * ring.angles)
     with pytest.warns(UserWarning):
         band_coefficients(values, 3)
@@ -54,7 +54,7 @@ def test_analyze_band_cap():
 
 
 def test_synthesize_cos2theta():
-    ring = make_ring("inner", 1.0, 8)
+    ring = BoundaryRing("inner", 1.0, 8)
     assert_allclose(band_samples(np.array([0.0, 0.0, 0.5]), 8), np.cos(2 * ring.angles), atol=1e-14)
 
 
@@ -88,7 +88,7 @@ def test_analyze_is_linear():
 
 def test_parseval():
     """Quadrature inner product tracks 2 pi R (|a_0|^2 + 2 sum |a_j|^2) for band-limited data."""
-    ring = make_ring("outer", 3.0, 64)
+    ring = BoundaryRing("outer", 3.0, 64)
     rng = np.random.default_rng(21)
     c = random_band(rng, 8)
     f = BoundaryFunction(ring, band_samples(c, ring.size))

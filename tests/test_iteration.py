@@ -16,6 +16,7 @@ from adjoint_cauchy import (
     DivergenceError,
     ExplicitSchedule,
     FemBackend,
+    HarmonicTerm,
     ModeSweep,
     OptimalTwoMode,
     SpectralBackend,
@@ -27,7 +28,7 @@ from adjoint_cauchy import (
     gradient_factor,
     run,
 )
-from adjoint_cauchy.boundary import boundary_inner_product, make_ring
+from adjoint_cauchy.boundary import BoundaryRing, boundary_inner_product
 from adjoint_cauchy.fourier import band_coefficients, band_samples
 from adjoint_cauchy.iteration import (
     IterationRecord,
@@ -170,6 +171,49 @@ def test_optimal_two_mode_above_mode_zero_window_diverges():
     assert math.isclose(ratios[-1], (1.0 - rho * c0) ** 2, rel_tol=1e-2)
 
 
+def harmonic_band(top):
+    """Terms whose inner trace is sum_j cos(j theta) / (1 + j), j = 0..top."""
+    return tuple(HarmonicTerm(1.0 / (1 + j) / R_IN**j, j, "cos") for j in range(top + 1))
+
+
+def test_sweep_rises_are_not_divergence():
+    """A descending sweep raises J by design (to 4.5e23 at k = 4 here) and
+    then falls; only rises past its steps count toward the guard, so the
+    sweep finishes while OptimalTwoMode(1, 2) still trips it."""
+    backend = SpectralBackend(R_IN, R_OUT)
+    data = cauchy_data(harmonic_band(5), backend.outer_ring)
+    with warnings.catch_warnings():
+        # the last sweep step cancels iterates of size 1e11, which leaves
+        # rounding above the band that the tail check reports
+        warnings.simplefilter("ignore", UserWarning)
+        result = run(backend, data, ModeSweep(0, 5, "descending"))
+    js = [record.j_value for record in result.history]
+    assert all(b > a for a, b in zip(js[:5], js[1:6])) and max(js) > 1e23
+    assert result.converged and result.iterations == 6
+    example2 = cauchy_data(builtin_terms("example2"), backend.outer_ring)
+    with pytest.raises(DivergenceError):
+        run(backend, example2, OptimalTwoMode(1, 2))
+    # a sweep's tail is watched from its first step: 1.0 > 2/C_1 makes J
+    # rise at k = 2..6, after the one sweep step
+    with pytest.raises(DivergenceError) as err:
+        run(backend, example2, ModeSweep(2, 2, tail_rho=1.0))
+    assert len(err.value.history) == 6
+
+
+@pytest.mark.parametrize("direction", ["descending", "ascending"])
+def test_sweep_float_limit(direction):
+    """Exact arithmetic would annihilate band 0..4 in five sweep steps;
+    rounding in mode 0 grows by about prod_i C_0/C_i, which leaves a
+    relative error of 1.8e-9 descending and 2.9e-9 ascending."""
+    backend = SpectralBackend(R_IN, R_OUT)
+    terms = harmonic_band(4)
+    data = cauchy_data(terms, backend.outer_ring)
+    result = run(backend, data, ModeSweep(0, 4, direction), StopRule(max_iters=5))
+    exact = exact_inner_trace(terms, backend.inner_ring).values
+    error = np.linalg.norm(result.omega.values - exact) / np.linalg.norm(exact)
+    assert result.iterations == 5 and error < 1e-8
+
+
 def test_run_is_reproducible(spectral, ex2):
     r1 = run(spectral, ex2, ModeSweep(0, 2, "descending"), StopRule())
     r2 = run(spectral, ex2, ModeSweep(0, 2, "descending"), StopRule())
@@ -220,12 +264,12 @@ def test_write_history_csv(tmp_path):
 
 
 def test_data_and_stop_validation():
-    ring_in = make_ring("inner", 1.0, 16)
-    ring_out = make_ring("outer", 3.0, 16)
+    ring_in = BoundaryRing("inner", 1.0, 16)
+    ring_out = BoundaryRing("outer", 3.0, 16)
     with pytest.raises(ValueError):
         CauchyData(BoundaryFunction.zeros(ring_in), BoundaryFunction.zeros(ring_in))
     with pytest.raises(ValueError):
-        CauchyData(BoundaryFunction.zeros(ring_out), BoundaryFunction.zeros(make_ring("outer", 3.0, 32)))
+        CauchyData(BoundaryFunction.zeros(ring_out), BoundaryFunction.zeros(BoundaryRing("outer", 3.0, 32)))
     with pytest.raises(ValueError):
         StopRule(j_tol=0.0)
     with pytest.raises(ValueError):
@@ -235,7 +279,7 @@ def test_data_and_stop_validation():
 
 
 def test_run_rejects_foreign_start(spectral, ex1):
-    wrong = BoundaryFunction.zeros(make_ring("inner", 1.0, 32))
+    wrong = BoundaryFunction.zeros(BoundaryRing("inner", 1.0, 32))
     with pytest.raises(ValueError):
         run(spectral, ex1, Constant(0.3), omega0=wrong)
 
@@ -260,7 +304,7 @@ def test_overflow_raises_divergence_without_runtime_warning(backend_kind):
 
 
 def test_cauchy_data_rejects_non_finite_values():
-    ring = make_ring("outer", 3.0, 16)
+    ring = BoundaryRing("outer", 3.0, 16)
     good = BoundaryFunction(ring, np.cos(ring.angles))
     for bad_value in (math.nan, math.inf):
         bad = good.copy()
@@ -322,8 +366,8 @@ def test_prepared_spectral_tail_warning():
 def test_prepared_spectral_rejects_foreign_rings(spectral):
     inner, outer = spectral.inner_ring, spectral.outer_ring
     on_inner, on_outer = BoundaryFunction.zeros(inner), BoundaryFunction.zeros(outer)
-    other = BoundaryFunction.zeros(make_ring("outer", R_OUT, 2 * outer.size))
-    shifted = BoundaryFunction.zeros(make_ring("outer", 2.0 * R_OUT, outer.size))
+    other = BoundaryFunction.zeros(BoundaryRing("outer", R_OUT, 2 * outer.size))
+    shifted = BoundaryFunction.zeros(BoundaryRing("outer", 2.0 * R_OUT, outer.size))
     for foreign in (other, shifted, on_inner):
         with pytest.raises(ValueError):
             spectral.solve_primary(on_inner, foreign)
