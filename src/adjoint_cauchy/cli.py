@@ -186,6 +186,8 @@ def _data_terms(cfg: dict) -> tuple[HarmonicTerm, ...]:
                 )
             except KeyError as exc:
                 raise ConfigError(f"data.terms[{i}] needs {exc.args[0]!r}") from exc
+            except ConfigError:
+                raise
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"data.terms[{i}]: {exc}") from exc
         return tuple(terms)
@@ -234,6 +236,8 @@ def _strategy(obj: Any, context: str = "strategy") -> StepStrategy:
             )
     except KeyError as exc:
         raise ConfigError(f"{context} of kind {kind!r} needs {exc.args[0]!r}") from exc
+    except ConfigError:
+        raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{context}: {exc}") from exc
     raise ConfigError(f"{context}: unknown strategy kind {kind!r}")
@@ -251,6 +255,8 @@ def _stop_rule(cfg: dict) -> StopRule:
             grad_eps=_number(stop.get("grad_eps", defaults.grad_eps), "stop.grad_eps"),
             max_iters=_count(stop.get("max_iters", defaults.max_iters), "stop.max_iters"),
         )
+    except ConfigError:
+        raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"stop: {exc}") from exc
 
@@ -508,10 +514,8 @@ def cmd_mesh_info(cfg: dict, dump: str | None) -> int:
     print(f"triangle area min {areas.min():.6e} max {areas.max():.6e}")
     print(f"mesh area {areas.sum():.17g} (annulus {annulus_area:.17g})")
     if dump is not None:
-        directory = Path(dump)
-        directory.mkdir(parents=True, exist_ok=True)
-        dump_mesh_csv(mesh, directory)
-        print(f"wrote {directory / 'nodes.csv'} and {directory / 'tris.csv'}")
+        nodes_path, tris_path = dump_mesh_csv(mesh, dump)
+        print(f"wrote {nodes_path} and {tris_path}")
     return 0
 
 

@@ -3,16 +3,17 @@
 On a triangle with vertices p1, p2, p3 and area A the P1 stiffness is
 (b b^T + c c^T) / (4 A) with b = (y2-y3, y3-y1, y1-y2) and
 c = (x3-x2, x1-x3, x2-x1). The mesh is invariant under rotation by one
-angular step, so the stiffness is block tridiagonal in radius with
-circulant blocks, and each radius level's row is one three-by-three
-stencil over (radial offset, angular offset). ``assemble_stiffness``
-returns these stencils, one per level, summed from the local blocks of
-each node's six triangles; no global matrix is formed. The mixed boundary
-value problem carries Neumann data on the outer circle and Dirichlet data
-on the inner one. An FFT in angle splits the Dirichlet-reduced system into
-one tridiagonal system over the free radius levels per angular mode,
-which ``FourierSolver`` solves once per mesh: the Fourier fast Poisson
-solver (Hockney 1965, Swarztrauber 1977).
+angular step by construction, so the stiffness is block tridiagonal in
+radius with circulant blocks, and each radius level's row is one
+three-by-three stencil over (radial offset, angular offset).
+``assemble_stiffness`` returns these stencils, one per level, summed from
+the two triangles of one quad of the level, of which every other quad is a
+rotation; no global matrix is formed. The mixed boundary value problem
+carries Neumann data on the outer circle and Dirichlet data on the inner
+one. An FFT in angle splits the Dirichlet-reduced system into one
+tridiagonal system over the free radius levels per angular mode, which
+``FourierSolver`` solves once per mesh: the Fourier fast Poisson solver
+(Hockney 1965, Swarztrauber 1977).
 
 The outward normal flux on the inner circle is recovered variationally:
 for a discrete solution whose load vanishes at inner-ring nodes, the
@@ -34,7 +35,7 @@ from .boundary import (
     ring_mass_apply,
     rings_compatible,
 )
-from .mesh import AnnulusMesh, structured_triangles
+from .mesh import QUAD_CORNERS, AnnulusMesh
 
 Array = np.ndarray
 
@@ -50,35 +51,23 @@ __all__ = [
     "normal_flux",
 ]
 
-# Deviation from rotation invariance, relative to the largest stiffness
-# entry, that counts as rounding; generated meshes deviate by about 5e-14.
-ROTATION_RTOL = 1e-10
-
-# (radial, angular) offset from quad (i, j) of each corner of its lower and
-# upper triangle, in the vertex order of ``structured_triangles``
-_CORNERS = (((0, 0), (1, 0), (1, 1)), ((0, 0), (1, 1), (0, 1)))
-
-
 class SolverError(RuntimeError):
     """A mixed solve produced a non-finite field, as non-finite data do."""
 
 
-def local_stiffness(mesh: AnnulusMesh) -> Array:
-    """P1 stiffness block of each triangle, shape ``(n_triangles, 3, 3)``,
-    in the vertex order of ``mesh.triangles``."""
-    tris = mesh.triangles.T
-    x = mesh.nodes[:, 0][tris]
-    y = mesh.nodes[:, 1][tris]
+def local_stiffness(x: Array, y: Array) -> Array:
+    """P1 stiffness block of each triangle, shape ``(n, 3, 3)``, from its
+    vertex coordinates ``x`` and ``y`` of shape ``(3, n)``, vertex first.
+
+    Raises ``ValueError`` on a degenerate or clockwise triangle.
+    """
     b = [y[(p + 1) % 3] - y[(p + 2) % 3] for p in range(3)]
     c = [x[(p + 2) % 3] - x[(p + 1) % 3] for p in range(3)]
     area2 = x[0] * b[0] + x[1] * b[1] + x[2] * b[2]
     if np.any(area2 <= 0.0):
         raise ValueError("mesh contains a degenerate or inverted triangle")
-
-    # stored vertex pair first and filled pair by pair, so that no
-    # temporary of the whole array's size is formed
     four_area = 2.0 * area2
-    local = np.empty((3, 3, tris.shape[1]))
+    local = np.empty((3, 3, x.shape[1]))
     for i in range(3):
         for j in range(i, 3):
             local[i, j] = local[j, i] = (b[i] * b[j] + c[i] * c[j]) / four_area
@@ -89,28 +78,23 @@ def assemble_stiffness(mesh: AnnulusMesh) -> Array:
     """Per-level stencils of the P1 stiffness of the Laplace operator.
 
     Entry ``[i, s + 1, t + 1]`` couples a node of radius level i to the node
-    s levels further out and t angular steps on. Each node's row is summed
-    from the local blocks of its six triangles. Raises ``ValueError`` unless
-    the mesh has the structured connectivity and every node's row equals
-    the others of its level to ``ROTATION_RTOL`` of the largest entry.
+    s levels further out and t angular steps on. The stencils are summed
+    from the two triangles of quad (i, 0) at each level i: every quad of a
+    level is a rotation of that one, and P1 stiffness is invariant under
+    rotation. No node or triangle array is formed.
     """
-    n_radial, n_angular = mesh.spec.n_radial, mesh.spec.n_angular
-    if not np.array_equal(mesh.triangles, structured_triangles(n_radial, n_angular)):
-        raise ValueError("mesh triangles are not the structured connectivity")
-    # vertex pair, lower or upper, quad level, quad position
-    blocks = local_stiffness(mesh).transpose(1, 2, 0).reshape(3, 3, 2, n_radial, n_angular)
-    # radial offset, angular offset, node level, node position
-    rows = np.zeros((3, 3, n_radial + 1, n_angular))
-    for t, corners in enumerate(_CORNERS):
+    n_radial = mesh.spec.n_radial
+    # corners of quad (i, 0) by vertex, lower or upper, and level i
+    radial, angular = np.array(QUAD_CORNERS).T[..., None]
+    x, y = mesh.coordinates(radial + np.arange(n_radial), angular)
+    blocks = local_stiffness(x.reshape(3, -1), y.reshape(3, -1)).reshape(2, n_radial, 3, 3)
+    stencils = np.zeros((n_radial + 1, 3, 3))
+    for t, corners in enumerate(QUAD_CORNERS):
         for p, (pi, pj) in enumerate(corners):
             for q, (qi, qj) in enumerate(corners):
                 # corner p of quad (i, j) is node (i + pi, j + pj)
-                rows[qi - pi + 1, qj - pj + 1, pi : pi + n_radial] += np.roll(
-                    blocks[p, q, t], pj, axis=1
-                )
-    if np.ptp(rows, axis=3).max() > ROTATION_RTOL * max(rows.max(), -rows.min()):
-        raise ValueError("stiffness rows are not invariant under rotation by one angular step")
-    return rows[..., 0].transpose(2, 0, 1).copy()
+                stencils[pi : pi + n_radial, qi - pi + 1, qj - pj + 1] += blocks[t, :, p, q]
+    return stencils
 
 
 def _require_mesh_ring(mesh: AnnulusMesh, ring: BoundaryRing) -> None:
@@ -140,16 +124,11 @@ class FourierSolver:
     ``neumann_response`` times the outer load. Both are found once, by
     substitution through each mode's tridiagonal system, and indexed by
     free level (row f is level f + 1) and mode ``0..n_angular//2``.
-    ``stencils`` are those of ``assemble_stiffness(mesh)``, which is called
-    when none are given.
     """
 
-    def __init__(self, mesh: AnnulusMesh, stencils: Array | None = None):
+    def __init__(self, mesh: AnnulusMesh):
         n_radial, n_angular = mesh.spec.n_radial, mesh.spec.n_angular
-        if stencils is None:
-            stencils = assemble_stiffness(mesh)
-        elif stencils.shape != (n_radial + 1, 3, 3):
-            raise ValueError("expected one 3x3 stencil per radius level")
+        stencils = assemble_stiffness(mesh)
 
         # a circulant with stencil s maps x to sum_t s[t] x[j + t], which
         # multiplies angular mode k by sum_t s[t] exp(2 pi i k t / n_angular)
@@ -211,17 +190,15 @@ def trace(field: Array, ring: BoundaryRing) -> BoundaryFunction:
     return BoundaryFunction(ring, np.asarray(field, dtype=float)[ring.node_ids].copy())
 
 
-def flux_rows(mesh: AnnulusMesh, stencils: Array | None = None) -> tuple[Array, Array]:
+def flux_rows(mesh: AnnulusMesh) -> tuple[Array, Array]:
     """Inner-ring rows of the stiffness, divided by the ring's chord.
 
     Returns node ids of shape ``(n_angular, 6)``, for inner node j the nodes
     of levels 0 and 1 at angular positions j - 1, j and j + 1, and the six
     weights every inner node shares: level 0's stencil entries for those
     nodes divided by the chord, each node's lumped ring weight.
-    ``stencils`` default to ``assemble_stiffness(mesh)``.
     """
-    if stencils is None:
-        stencils = assemble_stiffness(mesh)
+    stencils = assemble_stiffness(mesh)
     n_angular = mesh.spec.n_angular
     positions = (np.arange(n_angular)[:, None] + np.arange(-1, 2)) % n_angular
     ids = np.hstack((positions, positions + n_angular))

@@ -42,7 +42,6 @@ from .boundary import (
 )
 from .fem import (
     FourierSolver,
-    assemble_stiffness,
     flux_rows,
     normal_flux,
     solve_mixed_bvp,
@@ -178,17 +177,16 @@ class Backend(Protocol):
 class FemBackend:
     """Finite element solves on a fixed annulus mesh.
 
-    The stiffness stencils are assembled, and from them the direct solver
-    and the inner-ring rows that recover the flux are prepared once, at
-    construction; everything else is recomputed per call, so instances are
-    safe to share between concurrent runs.
+    The direct solver and the inner-ring rows that recover the flux are
+    prepared once, at construction, each from the stiffness stencils;
+    everything else is recomputed per call, so instances are safe to share
+    between concurrent runs.
     """
 
     def __init__(self, mesh: AnnulusMesh):
         self.mesh = mesh
-        stencils = assemble_stiffness(mesh)
-        self.solver = FourierSolver(mesh, stencils)
-        self.inner_rows = flux_rows(mesh, stencils)
+        self.solver = FourierSolver(mesh)
+        self.inner_rows = flux_rows(mesh)
         self.inner_ring = mesh.inner_ring
         self.outer_ring = mesh.outer_ring
         self.r_inner = mesh.spec.r_inner

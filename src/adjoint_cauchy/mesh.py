@@ -1,10 +1,12 @@
-"""Structured triangulation of an annulus.
+"""Structured triangulation of an annulus, fixed by its spec.
 
 Nodes sit on concentric circles: ``n_radial + 1`` uniformly spaced radius
 levels, each carrying ``n_angular`` equispaced nodes. Every quad cell of
 the polar grid is split along the same diagonal into two triangles, so the
-mesh is invariant under rotation by one angular step and angular Fourier
-modes of the data stay uncoupled in the discrete problems.
+mesh is invariant under rotation by one angular step by construction and
+angular Fourier modes of the data stay uncoupled in the discrete problems.
+A mesh stores its ``AnnulusSpec`` and the two boundary rings derived from
+it; node coordinates and triangles are computed when they are read.
 
 Node ``i * n_angular + j`` is the j-th node of radius level i, counted
 from the inner circle, which makes both boundary rings contiguous index
@@ -14,7 +16,7 @@ ranges in angle order.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -27,10 +29,15 @@ __all__ = [
     "AnnulusSpec",
     "AnnulusMesh",
     "generate_mesh",
-    "structured_triangles",
     "triangle_areas",
     "dump_mesh_csv",
+    "QUAD_CORNERS",
 ]
+
+# (radial, angular) offset from quad (i, j) of each corner of its lower and
+# upper triangle: both use the quad's (i, j)-(i+1, j+1) diagonal and list
+# their corners counterclockwise
+QUAD_CORNERS = (((0, 0), (1, 0), (1, 1)), ((0, 0), (1, 1), (0, 1)))
 
 
 @dataclass(frozen=True)
@@ -53,54 +60,61 @@ class AnnulusSpec:
 
 @dataclass(frozen=True, eq=False)
 class AnnulusMesh:
+    """The structured polar triangulation of ``spec``.
+
+    ``inner_ring`` and ``outer_ring`` are derived at construction;
+    ``nodes`` and ``triangles`` are computed on each access.
+    """
+
     spec: AnnulusSpec
-    nodes: Array
-    triangles: Array
-    inner_ring: BoundaryRing
-    outer_ring: BoundaryRing
+    inner_ring: BoundaryRing = field(init=False, repr=False)
+    outer_ring: BoundaryRing = field(init=False, repr=False)
+
+    def __post_init__(self):
+        nr, na = self.spec.n_radial, self.spec.n_angular
+        inner = BoundaryRing("inner", self.spec.r_inner, na, np.arange(na))
+        outer = BoundaryRing("outer", self.spec.r_outer, na, nr * na + np.arange(na))
+        object.__setattr__(self, "inner_ring", inner)
+        object.__setattr__(self, "outer_ring", outer)
 
     @property
     def n_nodes(self) -> int:
-        return self.nodes.shape[0]
+        return (self.spec.n_radial + 1) * self.spec.n_angular
 
     @property
     def n_triangles(self) -> int:
-        return self.triangles.shape[0]
+        return 2 * self.spec.n_radial * self.spec.n_angular
+
+    def coordinates(self, level: Array, position: Array) -> tuple[Array, Array]:
+        """x and y of the nodes at radius levels ``level`` and angular
+        positions ``position``, broadcast against each other."""
+        spec = self.spec
+        r = np.linspace(spec.r_inner, spec.r_outer, spec.n_radial + 1)[level]
+        theta = 2.0 * np.pi * position / spec.n_angular
+        return r * np.cos(theta), r * np.sin(theta)
+
+    @property
+    def nodes(self) -> Array:
+        """Node coordinates, shape ``(n_nodes, 2)``."""
+        level, position = np.divmod(np.arange(self.n_nodes), self.spec.n_angular)
+        return np.column_stack(self.coordinates(level, position))
+
+    @property
+    def triangles(self) -> Array:
+        """Node ids of each triangle, shape ``(n_triangles, 3)``: the lower
+        triangles of every quad, then the upper ones, quads in node order,
+        corners in the order of ``QUAD_CORNERS``."""
+        nr, na = self.spec.n_radial, self.spec.n_angular
+        level, position = np.divmod(np.arange(nr * na)[:, None], na)
+        radial, angular = np.moveaxis(np.array(QUAD_CORNERS), -1, 0)[:, :, None]
+        return ((level + radial) * na + (position + angular) % na).reshape(-1, 3)
 
 
 def generate_mesh(spec: AnnulusSpec) -> AnnulusMesh:
-    """Build the structured polar triangulation for ``spec``.
-
-    Returns a mesh with ``(n_radial + 1) * n_angular`` nodes and
-    ``2 * n_radial * n_angular`` positively oriented triangles.
-    """
-    nr, na = spec.n_radial, spec.n_angular
-    radii = np.linspace(spec.r_inner, spec.r_outer, nr + 1)
-    inner_ring = BoundaryRing("inner", spec.r_inner, na, np.arange(na))
-    outer_ring = BoundaryRing("outer", spec.r_outer, na, nr * na + np.arange(na))
-
-    r_grid = np.repeat(radii, na)
-    t_grid = np.tile(inner_ring.angles, nr + 1)
-    nodes = np.column_stack((r_grid * np.cos(t_grid), r_grid * np.sin(t_grid)))
-    triangles = structured_triangles(nr, na)
-    return AnnulusMesh(spec, nodes, triangles, inner_ring, outer_ring)
-
-
-def structured_triangles(n_radial: int, n_angular: int) -> Array:
-    """Connectivity of the structured grid: the lower triangles of every
-    quad, then the upper ones, quads in node order.
-
-    Quad (i, j) has corners a=(i,j), b=(i,j+1), c=(i+1,j), d=(i+1,j+1);
-    both triangles use the a-d diagonal and are counterclockwise: lower
-    (a, c, d) and upper (a, d, b).
-    """
-    a = np.arange(n_radial * n_angular, dtype=np.int64).reshape(n_radial, n_angular)
-    b = np.roll(a, -1, axis=1)
-    c = a + n_angular
-    d = b + n_angular
-    lower = np.stack((a, c, d), axis=-1)
-    upper = np.stack((a, d, b), axis=-1)
-    return np.stack((lower, upper)).reshape(-1, 3)
+    """The structured polar triangulation for ``spec``, with
+    ``(n_radial + 1) * n_angular`` nodes and ``2 * n_radial * n_angular``
+    positively oriented triangles."""
+    return AnnulusMesh(spec)
 
 
 def triangle_areas(mesh: AnnulusMesh) -> Array:

@@ -191,6 +191,9 @@ def test_strict_config_values_exit_one(tmp_path, capsys, command, cfg):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "Traceback" not in err
+    # each context is named once, not again by the caller that passes it on
+    context, _, rest = err.removeprefix("error: ").partition(": ")
+    assert not rest.startswith(context), err
 
 
 def test_count_accepts_whole_numbers_only():

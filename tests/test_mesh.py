@@ -14,6 +14,13 @@ def test_node_and_triangle_counts():
     mesh = generate_mesh(AnnulusSpec(1.0, 3.0, 2, 4))
     assert mesh.n_nodes == 12
     assert mesh.n_triangles == 16
+    # lower (a, c, d) then upper (a, d, b) triangles of quad (i, j), whose
+    # corners are a=(i,j), b=(i,j+1), c=(i+1,j), d=(i+1,j+1); the last
+    # quad of a level wraps around to its first node
+    assert mesh.triangles.shape == (16, 3)
+    assert mesh.triangles[[0, 3, 8, 11, 15]].tolist() == [
+        [0, 4, 5], [3, 7, 4], [0, 5, 1], [3, 4, 0], [7, 8, 4]
+    ]
 
 
 def test_default_resolution_counts():
