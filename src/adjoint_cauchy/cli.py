@@ -305,9 +305,7 @@ def _summary_payload(result: RunResult, wall_time: float, cfg: dict) -> dict:
         "primary_solves": counters.primary,
         "adjoint_solves": counters.adjoint,
         "line_search_solves": counters.line_search,
-        # the conventional cost measure: one primary and one adjoint per
-        # iteration, plus every line-search trial
-        "total_direct_solves": 2 * result.iterations + counters.line_search,
+        "total_direct_solves": counters.total,
         "wall_time_s": wall_time,
         "backend": cfg.get("backend", "fem"),
     }
@@ -365,7 +363,7 @@ def cmd_compare(cfg: dict, out_override: str | None) -> int:
         print(
             f"{label}: {'converged' if result.converged else result.reason}, "
             f"{result.iterations} iterations, J = {result.final_j:.6e}, "
-            f"{2 * result.iterations + result.counters.line_search} direct solves"
+            f"{result.counters.total} direct solves"
         )
 
     # one J column per strategy, aligned on k; exhausted runs leave blanks

@@ -15,11 +15,15 @@ them from the closed-form series solution as arrays of modes 0..M in
 ``rfft`` layout, for the three maps it needs (Dirichlet data to outer
 trace, Neumann data to outer trace, Neumann data to the gradient on the
 inner circle), and is exact up to the analysis band.
-Each main-path iteration costs exactly one primary and one adjoint solve;
-line-search trials are counted separately so solver budgets of different
-step strategies can be compared. ``run`` asks a fixed-step rule for its
+Each iteration costs exactly one primary and one adjoint solve, so a run
+of k iterations books k + 1 primary and k adjoint solves; line-search
+trials are counted separately so solver budgets of different step
+strategies can be compared. ``run`` asks a fixed-step rule for its
 ``step_size``; an ``Armijo`` rule instead gets its step from
-``steps.armijo_step``, whose trials are extra primary solves.
+``steps.armijo_step``. Its accepted trial, the last one, has solved the
+primary problem at the next iterate, so that solve is kept and booked as
+the next iterate's primary solve; only the rejected trials count as
+line-search solves.
 """
 
 from __future__ import annotations
@@ -115,7 +119,11 @@ class IterationRecord:
     """State of the run after evaluating iterate k.
 
     ``rho`` and ``grad_norm`` are NaN on a terminal record where the run
-    stopped before stepping; the solve counters are cumulative.
+    stopped before stepping; the solve counters are cumulative. Record k
+    counts k + 1 primary solves, one per iterate so far, and the rejected
+    line-search trials of steps 0..k. Under ``Armijo`` the accepted trial
+    of step k is iterate k + 1's primary solve, so record k + 1 counts it,
+    not record k.
     """
 
     k: int
@@ -362,9 +370,14 @@ def run(
     iterations = 0
     converged = False
     reason = "max_iters"
+    # (J, outer trace) of omega when the line search has already solved it
+    evaluation = None
 
     for k in range(stop.max_iters + 1):
-        j_value, v_trace = evaluate_functional(backend, omega, data, counters)
+        if evaluation is None:
+            evaluation = evaluate_functional(backend, omega, data)
+        counters.primary += 1
+        j_value, v_trace = evaluation
 
         if not math.isfinite(j_value):
             raise DivergenceError(
@@ -403,18 +416,24 @@ def run(
             break
 
         if line_search:
+            candidate = omega
 
             def evaluate(beta: float) -> float:
-                candidate_trace = backend.solve_primary(omega - beta * grad, data.q_bar)
-                counters.line_search += 1
-                return backend.functional(candidate_trace, data.u_bar)
+                nonlocal candidate, evaluation
+                candidate = omega - beta * grad
+                evaluation = evaluate_functional(backend, candidate, data)
+                return evaluation[0]
 
-            rho, _ = step_rules.armijo_step(
+            rho, trials = step_rules.armijo_step(
                 evaluate, j_value, grad_norm**2, strategy.xi, strategy.tau
             )
+            # the last trial is the accepted one: the next iterate, whose
+            # primary solve it is
+            counters.line_search += trials - 1
+            omega = candidate
         else:
             rho = strategy.step_size(k, backend.r_inner, backend.r_outer)
-        omega = omega - rho * grad
+            omega, evaluation = omega - rho * grad, None
         history.append(_record(k, j_value, grad_norm, rho, counters))
         iterations += 1
 

@@ -33,7 +33,10 @@ def test_run_spectral_one_step(tmp_path):
     assert summary["stop_reason"] == "j_tol"
     assert summary["iterations"] == 1
     assert summary["line_search_solves"] == 0
-    assert summary["total_direct_solves"] == 2 * summary["iterations"] + summary["line_search_solves"]
+    assert summary["total_direct_solves"] == (
+        summary["primary_solves"] + summary["adjoint_solves"] + summary["line_search_solves"]
+    )
+    assert summary["total_direct_solves"] == 3  # both iterates' primary solves and one adjoint
     assert summary["backend"] == "spectral"
 
     history = (tmp_path / "out" / "history.csv").read_text().splitlines()
@@ -230,7 +233,7 @@ def test_command_line_overrides(tmp_path):
     assert main(["run", path, "--mesh", "nope"]) == 1
 
 
-def test_compare_outputs(tmp_path):
+def test_compare_outputs(tmp_path, capsys):
     cfg = dict(
         BASE,
         data={"name": "example2"},
@@ -243,6 +246,10 @@ def test_compare_outputs(tmp_path):
     )
     del cfg["strategy"]
     assert main(["compare", write_config(tmp_path, cfg)]) == 0
+    sweep_line = capsys.readouterr().out.splitlines()[0]
+    # 2 iterations: 3 primary and 2 adjoint solves
+    assert sweep_line.startswith("00_sweep: converged, 2 iterations")
+    assert sweep_line.endswith(", 5 direct solves")
     lines = (tmp_path / "cmp" / "compare.csv").read_text().splitlines()
     assert lines[0] == "k,J_00_sweep,J_01_constant,J_02_constant"
     for line in lines[1:]:

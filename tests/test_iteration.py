@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 
 from adjoint_cauchy import (
     AnnulusSpec,
+    Armijo,
     BoundaryFunction,
     CauchyData,
     Constant,
@@ -28,7 +29,7 @@ from adjoint_cauchy import (
     gradient_factor,
     run,
 )
-from adjoint_cauchy.boundary import BoundaryRing, boundary_inner_product
+from adjoint_cauchy.boundary import BoundaryRing, boundary_inner_product, boundary_norm
 from adjoint_cauchy.fourier import band_coefficients, band_samples
 from adjoint_cauchy.iteration import (
     IterationRecord,
@@ -38,6 +39,7 @@ from adjoint_cauchy.iteration import (
     write_history_csv,
 )
 from adjoint_cauchy.spectral import solve_series
+from adjoint_cauchy.steps import armijo_step
 
 R_IN, R_OUT = 1.0, 3.0
 J_ZERO = 243.0 * math.pi / 1681.0
@@ -219,6 +221,116 @@ def test_run_is_reproducible(spectral, ex2):
     r2 = run(spectral, ex2, ModeSweep(0, 2, "descending"), StopRule())
     assert [a.j_value for a in r1.history] == [b.j_value for b in r2.history]
     assert np.array_equal(r1.omega.values, r2.omega.values)
+
+
+@pytest.fixture(scope="module")
+def spectral_160():
+    return SpectralBackend(R_IN, R_OUT, n_angular=160)
+
+
+@pytest.fixture(scope="module")
+def fem_fine():
+    return FemBackend(generate_mesh(AnnulusSpec(R_IN, R_OUT, 54, 320)))
+
+
+class SpyBackend:
+    """A backend that keeps a copy of every trace ``solve_primary`` receives."""
+
+    def __init__(self, backend):
+        self.backend = backend
+        self.omegas = []
+
+    def __getattr__(self, name):
+        return getattr(self.backend, name)
+
+    def solve_primary(self, omega, q_bar):
+        self.omegas.append(omega.values.tobytes())
+        return self.backend.solve_primary(omega, q_bar)
+
+
+@pytest.mark.parametrize("backend_name", ["fem_default", "spectral_160"])
+def test_armijo_solves_no_iterate_twice(backend_name, request):
+    """The accepted line-search trial is the next iterate's primary solve."""
+    backend = request.getfixturevalue(backend_name)
+    spy = SpyBackend(backend)
+    data = cauchy_data(builtin_terms("example2"), backend.outer_ring)
+    result = run(spy, data, Armijo())
+    counters = result.counters
+    assert len(spy.omegas) == counters.primary + counters.line_search
+    assert len(set(spy.omegas)) == len(spy.omegas)
+    assert counters.primary == result.iterations + 1
+    v_trace = backend.solve_primary(result.omega, data.q_bar)
+    assert result.final_j == backend.functional(v_trace, data.u_bar)
+
+
+def resolving_armijo(backend, data, stop):
+    """Armijo descent that solves every iterate again after its line search
+    accepted it; returns its J, rho and gradient-norm histories, the last
+    iterate and the number of direct solves."""
+    omega, js, rhos, grad_norms, trials = BoundaryFunction.zeros(backend.inner_ring), [], [], [], 0
+    while True:
+        j_value, v_trace = evaluate_functional(backend, omega, data)
+        js.append(j_value)
+        if j_value < stop.j_tol:
+            return js, rhos, grad_norms, omega, 2 * len(js) - 1 + trials
+        grad = gradient(backend, v_trace, data)
+        grad_norms.append(boundary_norm(grad))
+        rho, spent = armijo_step(
+            lambda beta: evaluate_functional(backend, omega - beta * grad, data)[0],
+            j_value,
+            grad_norms[-1] ** 2,
+        )
+        rhos.append(rho)
+        trials += spent
+        omega = omega - rho * grad
+
+
+@pytest.mark.parametrize("backend_name", ["fem_fine", "spectral_160"])
+@pytest.mark.parametrize(
+    "name, iterations, resolved, solves", [("example1", 16, 49, 33), ("example2", 14, 47, 33)]
+)
+def test_armijo_reuse_is_bit_identical(backend_name, name, iterations, resolved, solves, request):
+    backend = request.getfixturevalue(backend_name)
+    data = cauchy_data(builtin_terms(name), backend.outer_ring)
+    stop = StopRule()
+    js, rhos, grad_norms, omega, reference_solves = resolving_armijo(backend, data, stop)
+    result = run(backend, data, Armijo(), stop)
+    assert result.reason == "j_tol"
+    assert [record.j_value for record in result.history] == js
+    assert [record.rho for record in result.history[:-1]] == rhos
+    assert [record.grad_norm for record in result.history[:-1]] == grad_norms
+    assert np.array_equal(result.omega.values, omega.values)
+    assert (result.iterations, reference_solves, result.counters.total) == (
+        iterations,
+        resolved,
+        solves,
+    )
+
+
+STEP_RULES = [
+    Constant(1.0 / 3.0),
+    Armijo(),
+    OptimalTwoMode(0, 2),
+    ModeSweep(0, 2),
+    ExplicitSchedule((1681.0 / 486.0,), tail_rho=1.0 / 3.0),
+]
+
+
+@pytest.mark.parametrize("backend_name", ["fem_default", "spectral_160"])
+@pytest.mark.parametrize("strategy", STEP_RULES, ids=lambda rule: type(rule).__name__)
+def test_counters_book_one_primary_per_iterate(backend_name, strategy, request):
+    """Every rule books iterate k's primary solve in record k, whether it
+    was solved there or reused from the accepted line-search trial."""
+    backend = request.getfixturevalue(backend_name)
+    data = cauchy_data(builtin_terms("example2"), backend.outer_ring)
+    result = run(backend, data, strategy)
+    counters, history = result.counters, result.history
+    assert result.reason == "j_tol"
+    assert counters.primary == result.iterations + 1
+    assert counters.adjoint == result.iterations
+    assert [record.primary_solves for record in history] == [k + 1 for k in range(len(history))]
+    assert [record.adjoint_solves for record in history] == [*range(1, len(history)), len(history) - 1]
+    assert history[-1].line_search_solves == counters.line_search
 
 
 def test_fem_functional_tracks_series_value():
