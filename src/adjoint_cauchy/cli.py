@@ -18,13 +18,16 @@ solve, step underflow), 3 oracle tolerance breach.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import inspect
 import json
 import math
 import sys
 import time
+import typing
 from fractions import Fraction
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -99,17 +102,71 @@ def _flag(value: Any, context: str) -> bool:
     return value
 
 
+def _text(value: Any, context: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{context}: expected a string, got {value!r}")
+    return value
+
+
+# the reader of each parameter type that a config value can take
+_READERS = {int: _count, float: _number, bool: _flag, str: _text}
+
+# the keys a config may hold at its top level
+CONFIG_KEYS = {
+    "radii", "mesh", "backend", "data", "strategy", "strategies", "stop", "oracle", "output_dir"
+}
+
+
 def _only_keys(obj: dict, allowed: set[str], context: str) -> None:
     extra = set(obj) - allowed
     if extra:
         raise ConfigError(f"{context}: unknown fields {sorted(extra)}")
 
 
-def _section(cfg: dict, key: str) -> dict:
-    value = cfg.get(key)
-    if not isinstance(value, dict):
-        raise ConfigError(f"config needs a {key!r} object")
-    return value
+def _read(hint: Any, value: Any, context: str) -> Any:
+    """Read one config value as the annotated type ``hint``: a scalar, ``X |
+    None``, a non-empty list for ``tuple[X, ...]``, or an object for a
+    dataclass."""
+    args = typing.get_args(hint)
+    if type(None) in args:
+        if value is None:
+            return None
+        (hint,) = [arg for arg in args if arg is not type(None)]
+    if typing.get_origin(hint) is tuple:
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"{context} must be a non-empty list")
+        item = typing.get_args(hint)[0]
+        return tuple(_read(item, entry, f"{context}[{i}]") for i, entry in enumerate(value))
+    if dataclasses.is_dataclass(hint):
+        return _build(hint, value, context)
+    return _READERS[hint](value, context)
+
+
+def _build(target: Callable, obj: Any, context: str, **given: Any) -> Any:
+    """Call ``target`` with the config object ``obj`` as keyword arguments.
+
+    The keys are the parameters of ``target`` that are not ``given``. Each
+    value is read as its parameter's annotated type, and a parameter
+    without a default is a required key. A ``ValueError`` that ``target``
+    raises becomes a ``ConfigError`` that names ``context``.
+    """
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{context} must be an object, got {obj!r}")
+    params = inspect.signature(target).parameters
+    _only_keys(obj, set(params) - set(given), context)
+    hints = typing.get_type_hints(target)
+    kwargs = dict(given)
+    for name, param in params.items():
+        if name in obj:
+            kwargs[name] = _read(hints[name], obj[name], f"{context}.{name}")
+        elif name not in given and param.default is param.empty:
+            raise ConfigError(f"{context} needs {name!r}")
+    try:
+        return target(**kwargs)
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"{context}: {exc}") from exc
 
 
 def _finite(text: str) -> float:
@@ -121,144 +178,62 @@ def _finite(text: str) -> float:
     return value
 
 
+def _json(text: str) -> Any:
+    return json.loads(text, parse_float=_finite, parse_constant=_finite)
+
+
 def load_config(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as handle:
-            cfg = json.load(handle, parse_float=_finite, parse_constant=_finite)
+            cfg = _json(handle.read())
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"config {path} must be a JSON object")
+    _only_keys(cfg, CONFIG_KEYS, "config")
     return cfg
 
 
-def _radii(cfg: dict) -> tuple[float, float]:
-    radii = _section(cfg, "radii")
-    try:
-        inner = _number(radii["inner"], "radii.inner")
-        outer = _number(radii["outer"], "radii.outer")
-    except KeyError as exc:
-        raise ConfigError(f"radii needs {exc.args[0]!r}") from exc
+def _radii(inner: float, outer: float) -> tuple[float, float]:
+    """The ``radii`` section: the two radii of the annulus."""
     if not 0.0 < inner < outer:
-        raise ConfigError("radii must satisfy 0 < inner < outer")
+        raise ValueError("must satisfy 0 < inner < outer")
     return inner, outer
 
 
 def _mesh_spec(cfg: dict) -> AnnulusSpec:
-    inner, outer = _radii(cfg)
-    mesh = _section(cfg, "mesh")
-    _only_keys(mesh, {"n_radial", "n_angular"}, "mesh")
-    try:
-        n_radial = _count(mesh["n_radial"], "mesh.n_radial")
-        n_angular = _count(mesh["n_angular"], "mesh.n_angular")
-    except KeyError as exc:
-        raise ConfigError(f"mesh needs {exc.args[0]!r}") from exc
-    try:
-        return AnnulusSpec(inner, outer, n_radial, n_angular)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    r_inner, r_outer = _build(_radii, cfg.get("radii"), "radii")
+    return _build(AnnulusSpec, cfg.get("mesh"), "mesh", r_inner=r_inner, r_outer=r_outer)
 
 
-def _data_terms(cfg: dict) -> tuple[HarmonicTerm, ...]:
-    data = _section(cfg, "data")
-    if "name" in data:
-        try:
-            return builtin_terms(data["name"])
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-    if "terms" in data:
-        if not isinstance(data["terms"], list) or not data["terms"]:
-            raise ConfigError("data.terms must be a non-empty list")
-        terms = []
-        for i, raw in enumerate(data["terms"]):
-            if not isinstance(raw, dict):
-                raise ConfigError(f"data.terms[{i}] must be an object")
-            _only_keys(raw, {"amplitude", "mode", "kind"}, f"data.terms[{i}]")
-            try:
-                terms.append(
-                    HarmonicTerm(
-                        amplitude=_number(raw["amplitude"], f"data.terms[{i}].amplitude"),
-                        mode=_count(raw["mode"], f"data.terms[{i}].mode"),
-                        kind=raw["kind"],
-                    )
-                )
-            except KeyError as exc:
-                raise ConfigError(f"data.terms[{i}] needs {exc.args[0]!r}") from exc
-            except ConfigError:
-                raise
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"data.terms[{i}]: {exc}") from exc
-        return tuple(terms)
-    raise ConfigError("data needs either a built-in 'name' or an explicit 'terms' list")
+def _data(
+    name: str | None = None, terms: tuple[HarmonicTerm, ...] | None = None
+) -> tuple[HarmonicTerm, ...]:
+    """The ``data`` section: a built-in example's name or a list of terms."""
+    if (name is None) == (terms is None):
+        raise ValueError("needs exactly one of a built-in 'name' and an explicit 'terms' list")
+    return terms or builtin_terms(name)
+
+
+STRATEGY_KINDS = {
+    "constant": Constant,
+    "armijo": Armijo,
+    "optimal": OptimalTwoMode,
+    "sweep": ModeSweep,
+    "schedule": ExplicitSchedule,
+}
 
 
 def _strategy(obj: Any, context: str = "strategy") -> StepStrategy:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ConfigError(f"{context} must be an object with a 'kind' field")
     kind = obj["kind"]
-    where = f"{context} of kind {kind!r}"
-    try:
-        if kind == "constant":
-            _only_keys(obj, {"kind", "rho"}, where)
-            return Constant(rho=_number(obj["rho"], f"{context}.rho"))
-        if kind == "armijo":
-            _only_keys(obj, {"kind", "xi", "tau"}, where)
-            return Armijo(
-                xi=_number(obj.get("xi", 1.0 / 3.0), f"{context}.xi"),
-                tau=_number(obj.get("tau", 0.5), f"{context}.tau"),
-            )
-        if kind == "optimal":
-            _only_keys(obj, {"kind", "mode_min", "mode_max"}, where)
-            return OptimalTwoMode(
-                mode_min=_count(obj["mode_min"], f"{context}.mode_min"),
-                mode_max=_count(obj["mode_max"], f"{context}.mode_max"),
-            )
-        if kind == "sweep":
-            _only_keys(obj, {"kind", "mode_min", "mode_max", "direction", "tail_rho"}, where)
-            tail = obj.get("tail_rho")
-            return ModeSweep(
-                mode_min=_count(obj["mode_min"], f"{context}.mode_min"),
-                mode_max=_count(obj["mode_max"], f"{context}.mode_max"),
-                direction=obj.get("direction", "descending"),
-                tail_rho=None if tail is None else _number(tail, f"{context}.tail_rho"),
-            )
-        if kind == "schedule":
-            _only_keys(obj, {"kind", "rhos", "tail_rho"}, where)
-            rhos = obj["rhos"]
-            if not isinstance(rhos, list) or not rhos:
-                raise ConfigError(f"{context}.rhos must be a non-empty list")
-            tail = obj.get("tail_rho")
-            return ExplicitSchedule(
-                rhos=tuple(_number(r, f"{context}.rhos[{i}]") for i, r in enumerate(rhos)),
-                tail_rho=None if tail is None else _number(tail, f"{context}.tail_rho"),
-            )
-    except KeyError as exc:
-        raise ConfigError(f"{context} of kind {kind!r} needs {exc.args[0]!r}") from exc
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{context}: {exc}") from exc
-    raise ConfigError(f"{context}: unknown strategy kind {kind!r}")
-
-
-def _stop_rule(cfg: dict) -> StopRule:
-    stop = cfg.get("stop", {})
-    if not isinstance(stop, dict):
-        raise ConfigError("stop must be an object")
-    _only_keys(stop, {"j_tol", "grad_eps", "max_iters"}, "stop")
-    defaults = StopRule()
-    try:
-        return StopRule(
-            j_tol=_number(stop.get("j_tol", defaults.j_tol), "stop.j_tol"),
-            grad_eps=_number(stop.get("grad_eps", defaults.grad_eps), "stop.grad_eps"),
-            max_iters=_count(stop.get("max_iters", defaults.max_iters), "stop.max_iters"),
-        )
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"stop: {exc}") from exc
+    if not isinstance(kind, str) or kind not in STRATEGY_KINDS:
+        raise ConfigError(f"{context}: unknown strategy kind {kind!r}")
+    fields = {key: value for key, value in obj.items() if key != "kind"}
+    return _build(STRATEGY_KINDS[kind], fields, context)
 
 
 def _backend(cfg: dict):
@@ -271,28 +246,26 @@ def _backend(cfg: dict):
     raise ConfigError(f"unknown backend {name!r}; expected 'fem' or 'spectral'")
 
 
-def _output_dir(cfg: dict, override: str | None) -> Path:
-    out = override if override is not None else cfg.get("output_dir", "out")
-    if not isinstance(out, str) or not out:
+def _prepare(cfg: dict, out_override: str | None) -> tuple:
+    """Read the data, the stop rule and the output path, build the backend,
+    and only then create the output directory: a bad config leaves nothing
+    behind."""
+    terms = _build(_data, cfg.get("data"), "data")
+    stop = _build(StopRule, cfg.get("stop", {}), "stop")
+    path = out_override if out_override is not None else cfg.get("output_dir", "out")
+    if not isinstance(path, str) or not path:
         raise ConfigError("output_dir must be a non-empty string")
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    backend = _backend(cfg)
+    out = Path(path)
+    out.mkdir(parents=True, exist_ok=True)
+    return backend, terms, stop, out
 
 
-def _write_omega_csv(
-    path: Path, omega: BoundaryFunction, exact: BoundaryFunction | None
-) -> None:
+def _write_omega_csv(path: Path, omega: BoundaryFunction, exact: BoundaryFunction) -> None:
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        if exact is None:
-            handle.write("theta,omega\n")
-            for theta, value in zip(omega.ring.angles, omega.values):
-                handle.write(f"{_fmt(theta)},{_fmt(value)}\n")
-        else:
-            handle.write("theta,omega,omega_exact,error\n")
-            rows = zip(omega.ring.angles, omega.values, exact.values)
-            for theta, value, ref in rows:
-                handle.write(f"{_fmt(theta)},{_fmt(value)},{_fmt(ref)},{_fmt(value - ref)}\n")
+        handle.write("theta,omega,omega_exact,error\n")
+        for theta, value, ref in zip(omega.ring.angles, omega.values, exact.values):
+            handle.write(f"{_fmt(theta)},{_fmt(value)},{_fmt(ref)},{_fmt(value - ref)}\n")
 
 
 def _summary_payload(result: RunResult, wall_time: float, cfg: dict) -> dict:
@@ -311,20 +284,16 @@ def _summary_payload(result: RunResult, wall_time: float, cfg: dict) -> dict:
     }
 
 
-def _execute(cfg: dict, backend, strategy: StepStrategy) -> tuple[RunResult, float]:
-    data = cauchy_data(_data_terms(cfg), backend.outer_ring)
-    start = time.perf_counter()
-    result = run(backend, data, strategy, _stop_rule(cfg))
-    return result, time.perf_counter() - start
-
-
 def cmd_run(cfg: dict, out_override: str | None) -> int:
     strategy = _strategy(cfg.get("strategy"))
-    out = _output_dir(cfg, out_override)
-    result, wall = _execute(cfg, _backend(cfg), strategy)
+    backend, terms, stop, out = _prepare(cfg, out_override)
+    data = cauchy_data(terms, backend.outer_ring)
+    start = time.perf_counter()
+    result = run(backend, data, strategy, stop)
+    wall = time.perf_counter() - start
 
     write_history_csv(result.history, out / "history.csv")
-    exact = exact_inner_trace(_data_terms(cfg), result.omega.ring)
+    exact = exact_inner_trace(terms, result.omega.ring)
     _write_omega_csv(out / "omega_final.csv", result.omega, exact)
     summary = _summary_payload(result, wall, cfg)
     summary["strategy"] = cfg.get("strategy")
@@ -340,25 +309,19 @@ def cmd_run(cfg: dict, out_override: str | None) -> int:
     return 0
 
 
-def _strategy_label(index: int, obj: Any) -> str:
-    kind = obj["kind"] if isinstance(obj, dict) and "kind" in obj else "strategy"
-    return f"{index:02d}_{kind}"
-
-
 def cmd_compare(cfg: dict, out_override: str | None) -> int:
     specs = cfg.get("strategies")
     if not isinstance(specs, list) or len(specs) < 2:
         raise ConfigError("compare needs a 'strategies' list with at least two entries")
     strategies = [_strategy(obj, f"strategies[{i}]") for i, obj in enumerate(specs)]
-    out = _output_dir(cfg, out_override)
-    backend = _backend(cfg)
+    backend, terms, stop, out = _prepare(cfg, out_override)
+    data = cauchy_data(terms, backend.outer_ring)
 
-    labels, results = [], []
-    for i, (obj, strategy) in enumerate(zip(specs, strategies)):
-        label = _strategy_label(i, obj)
-        result, wall = _execute(cfg, backend, strategy)
+    labels = [f"{i:02d}_{obj['kind']}" for i, obj in enumerate(specs)]
+    results = []
+    for label, strategy in zip(labels, strategies):
+        result = run(backend, data, strategy, stop)
         write_history_csv(result.history, out / f"history_{label}.csv")
-        labels.append(label)
         results.append(result)
         print(
             f"{label}: {'converged' if result.converged else result.reason}, "
@@ -397,16 +360,19 @@ def oracle_check(
 
     With ``refine`` the mesh is doubled in both directions and each error
     must shrink by ``min_ratio``, except errors already at rounding level.
-    Returns one result dict per mode; ``passed`` reflects all checks.
+    Returns one result dict per mode; ``passed`` reflects all checks against
+    the ``tolerance`` the entry records.
     """
     if not modes:
-        raise ConfigError("oracle check needs at least one mode")
+        raise ValueError("oracle check needs at least one mode")
+    if not tolerance > 0.0:
+        raise ValueError("tolerance must be positive")
+    if not min_ratio >= 1.0:
+        raise ValueError("min_ratio must be at least 1")
     nyquist = (spec.n_angular - 1) // 2
     for mode in modes:
         if not 0 <= mode <= nyquist:
-            raise ConfigError(
-                f"mode {mode} is not resolvable on a ring of {spec.n_angular} nodes"
-            )
+            raise ValueError(f"mode {mode} is not resolvable on a ring of {spec.n_angular} nodes")
 
     def errors_on(mesh_spec: AnnulusSpec) -> list[tuple[float, float]]:
         backend = FemBackend(generate_mesh(mesh_spec))
@@ -448,6 +414,7 @@ def oracle_check(
             "flux_error": flux_err,
             "trace_ratio": None,
             "flux_ratio": None,
+            "tolerance": tolerance,
         }
         ok = trace_err <= tolerance and flux_err <= tolerance
         if fine is not None:
@@ -466,20 +433,9 @@ def oracle_check(
 def cmd_oracle_check(cfg: dict) -> int:
     if cfg.get("backend", "fem") != "fem":
         raise ConfigError("oracle check requires the fem backend")
-    spec = _mesh_spec(cfg)
-    oracle = cfg.get("oracle", {})
-    if not isinstance(oracle, dict):
-        raise ConfigError("oracle must be an object")
-    _only_keys(oracle, {"modes", "tolerance", "refine", "min_ratio"}, "oracle")
-    modes = oracle.get("modes", [0, 1, 2, 3])
-    if not isinstance(modes, list):
-        raise ConfigError("oracle.modes must be a list of whole numbers")
-    modes = [_count(m, f"oracle.modes[{i}]") for i, m in enumerate(modes)]
-    tolerance = _number(oracle.get("tolerance", 0.01), "oracle.tolerance")
-    refine = _flag(oracle.get("refine", False), "oracle.refine")
-    min_ratio = _number(oracle.get("min_ratio", 3.0), "oracle.min_ratio")
-
-    results = oracle_check(spec, tuple(modes), tolerance, refine, min_ratio)
+    results = _build(oracle_check, cfg.get("oracle", {}), "oracle", spec=_mesh_spec(cfg))
+    modes = [entry["mode"] for entry in results]
+    tolerance = results[0]["tolerance"]
     failing = []
     for entry in results:
         parts = [
@@ -517,26 +473,29 @@ def cmd_mesh_info(cfg: dict, dump: str | None) -> int:
     return 0
 
 
+def _override(cfg: dict, section: str, **values: Any) -> None:
+    target = cfg.setdefault(section, {})
+    if not isinstance(target, dict):
+        raise ConfigError(f"{section} must be an object")
+    target.update(values)
+
+
 def _apply_overrides(cfg: dict, args: argparse.Namespace) -> None:
+    """Write each override into ``cfg`` as the config file would hold it, so
+    that the readers give it the file's checks."""
     if getattr(args, "backend", None) is not None:
         cfg["backend"] = args.backend
     if getattr(args, "mesh", None) is not None:
-        parts = args.mesh.lower().split("x")
-        if len(parts) != 2:
-            raise ConfigError("--mesh expects RADIALxANGULAR, e.g. 27x160")
         try:
-            n_radial, n_angular = int(parts[0]), int(parts[1])
+            n_radial, n_angular = (_json(part) for part in args.mesh.lower().split("x"))
         except ValueError as exc:
             raise ConfigError("--mesh expects RADIALxANGULAR, e.g. 27x160") from exc
-        cfg.setdefault("mesh", {})
-        cfg["mesh"]["n_radial"] = n_radial
-        cfg["mesh"]["n_angular"] = n_angular
+        _override(cfg, "mesh", n_radial=n_radial, n_angular=n_angular)
     if getattr(args, "j_tol", None) is not None:
-        cfg.setdefault("stop", {})
-        cfg["stop"]["j_tol"] = args.j_tol
+        _override(cfg, "stop", j_tol=args.j_tol)
     if getattr(args, "strategy", None) is not None:
         try:
-            cfg["strategy"] = json.loads(args.strategy, parse_float=_finite, parse_constant=_finite)
+            cfg["strategy"] = _json(args.strategy)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"--strategy is not valid JSON: {exc}") from exc
 
@@ -553,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("config", help="JSON experiment config")
         p.add_argument("--backend", choices=["fem", "spectral"], help="override backend")
         p.add_argument("--mesh", help="override resolution as RADIALxANGULAR, e.g. 27x160")
-        p.add_argument("--j-tol", type=float, dest="j_tol", help="override stop tolerance on J")
+        p.add_argument("--j-tol", dest="j_tol", help="override stop tolerance on J")
         p.add_argument("--out", help="override output directory")
 
     p_run = sub.add_parser("run", help="single descent run")

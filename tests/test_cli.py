@@ -1,12 +1,23 @@
 """Experiment front end: configs, outputs, exit codes."""
 
+import dataclasses
 import json
 import subprocess
 import sys
 
 import pytest
 
-from adjoint_cauchy import AnnulusSpec, cli
+from adjoint_cauchy import (
+    AnnulusSpec,
+    Armijo,
+    Constant,
+    ExplicitSchedule,
+    HarmonicTerm,
+    ModeSweep,
+    OptimalTwoMode,
+    StopRule,
+    cli,
+)
 from adjoint_cauchy.cli import ConfigError, _count, _number, main, oracle_check
 
 BASE = {
@@ -161,6 +172,10 @@ def one_term(**fields):
     return {"terms": [{"amplitude": 1.0, "mode": 2, "kind": "cos", **fields}]}
 
 
+def oracle_with(**fields):
+    return dict(ORACLE, oracle=dict(ORACLE["oracle"], **fields))
+
+
 @pytest.mark.parametrize(
     "command, cfg",
     [
@@ -186,6 +201,20 @@ def one_term(**fields):
         pytest.param("oracle-check", dict(ORACLE, oracle={"refine": "no"}), id="refine-str"),
         pytest.param("oracle-check", dict(ORACLE, oracle={"refine": 1}), id="refine-1"),
         pytest.param("oracle-check", dict(ORACLE, oracle={"refin": True}), id="oracle-unknown-key"),
+        pytest.param(
+            "run", dict(BASE, radii={"inner": 1, "outer": 3, "outr": 5}), id="radii-unknown-key"
+        ),
+        pytest.param(
+            "run", dict(BASE, data={"name": "example1", "term": []}), id="data-unknown-key"
+        ),
+        pytest.param(
+            "run", dict(BASE, data={"name": "example1", **one_term()}), id="data-name-and-terms"
+        ),
+        pytest.param("run", dict(BASE, data={"name": ["example1"]}), id="data-name-list"),
+        pytest.param("run", dict(BASE, strategys=[]), id="top-level-unknown-key"),
+        pytest.param("oracle-check", oracle_with(tolerance=0), id="oracle-tolerance-0"),
+        pytest.param("oracle-check", oracle_with(tolerance=-1), id="oracle-tolerance-neg"),
+        pytest.param("oracle-check", oracle_with(min_ratio=0.5), id="oracle-min_ratio-0.5"),
     ],
 )
 def test_strict_config_values_exit_one(tmp_path, capsys, command, cfg):
@@ -231,6 +260,67 @@ def test_command_line_overrides(tmp_path):
     assert summary["backend"] == "fem"
     assert summary["strategy"]["kind"] == "constant"
     assert main(["run", path, "--mesh", "nope"]) == 1
+    not_an_object = write_config(tmp_path, dict(BASE, stop=5), "s.json")
+    assert main(["run", not_an_object, "--j-tol", "1e-3"]) == 1
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
+        ["--j-tol", "inf"],
+        ["--j-tol", "nan"],
+        ["--j-tol", "1e999"],
+        ["--mesh", "2_7x1_60"],
+        ["--mesh", "6x32.5"],
+    ],
+    ids=lambda override: " ".join(override),
+)
+def test_overrides_pass_the_config_checks(tmp_path, capsys, override):
+    path = write_config(tmp_path, dict(BASE, output_dir=str(tmp_path / "out")))
+    assert main(["run", path, *override]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_bad_config_leaves_no_output_directory(tmp_path, command):
+    cfg = dict(
+        BASE,
+        strategies=[BASE["strategy"], {"kind": "constant", "rho": "1/3"}],
+        stop={"max_iters": 0},
+        output_dir=str(tmp_path / "out"),
+    )
+    assert main([command, write_config(tmp_path, cfg)]) == 1
+    assert not (tmp_path / "out").exists()
+
+
+def assert_not_defaults(obj):
+    """Every field with a default holds another value, so that a reader that
+    drops the field cannot pass by the default alone."""
+    for field in dataclasses.fields(obj):
+        assert getattr(obj, field.name) != field.default, field.name
+
+
+def as_config(obj, **extra):
+    return json.loads(json.dumps({**extra, **dataclasses.asdict(obj)}))
+
+
+def test_every_field_is_a_config_key():
+    rules = [
+        Constant(rho=0.25),
+        Armijo(xi=0.25, tau=0.75),
+        OptimalTwoMode(mode_min=1, mode_max=3),
+        ModeSweep(mode_min=1, mode_max=4, direction="ascending", tail_rho=0.25),
+        ExplicitSchedule(rhos=(0.5, 0.25), tail_rho=0.125),
+    ]
+    assert [type(rule) for rule in rules] == list(cli.STRATEGY_KINDS.values())
+    for kind, rule in zip(cli.STRATEGY_KINDS, rules):
+        assert_not_defaults(rule)
+        assert cli._strategy(as_config(rule, kind=kind)) == rule
+    for obj in (StopRule(j_tol=1e-7, grad_eps=1e-9, max_iters=7), HarmonicTerm(0.5, 3, "sin")):
+        assert_not_defaults(obj)
+        assert cli._build(type(obj), as_config(obj), "x") == obj
 
 
 def test_compare_outputs(tmp_path, capsys):

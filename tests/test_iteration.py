@@ -216,6 +216,32 @@ def test_sweep_float_limit(direction):
     assert result.iterations == 5 and error < 1e-8
 
 
+@pytest.mark.parametrize("backend_name", ["spectral_160", "fem_default"])
+def test_armijo_float_limit(request, backend_name):
+    """The exact inner trace of example1 has no mode 0, but rounding puts
+    some into every iterate. Armijo accepts beta = 1 at every step, and a
+    step rho multiplies mode 0 by 1 - rho*C_0 = -5 on radii 1 and 3."""
+    backend = request.getfixturevalue(backend_name)
+    data = cauchy_data(builtin_terms("example1"), backend.outer_ring)
+    c0 = gradient_factor(0, R_IN, R_OUT)
+    full = run(backend, data, Armijo(), StopRule())
+    assert full.converged and full.iterations == 16
+    # the mean of omega is its mode-0 coefficient
+    means = [
+        np.mean(run(backend, data, Armijo(), StopRule(max_iters=k)).omega.values)
+        for k in range(1, full.iterations)
+    ]
+    means = [0.0, *means, np.mean(full.omega.values)]
+    checked = 0
+    for k, record in enumerate(full.history[:-1]):
+        if abs(means[k]) > 1e-12:
+            assert record.rho == 1.0
+            assert means[k + 1] / means[k] == pytest.approx(1.0 - record.rho * c0, rel=0.01)
+            checked += 1
+    assert checked >= 10
+    assert 1e-5 < abs(means[-1]) < 1e-4
+
+
 def test_run_is_reproducible(spectral, ex2):
     r1 = run(spectral, ex2, ModeSweep(0, 2, "descending"), StopRule())
     r2 = run(spectral, ex2, ModeSweep(0, 2, "descending"), StopRule())
