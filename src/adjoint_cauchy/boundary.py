@@ -28,6 +28,11 @@ __all__ = [
 ]
 
 
+def is_count(value) -> bool:
+    """True for a whole number given as an int or numpy integer, not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True, eq=False)
 class BoundaryRing:
     """Closed ring of ``size`` equispaced boundary nodes, node k at angle
@@ -51,7 +56,7 @@ class BoundaryRing:
             raise ValueError(f"ring side must be 'inner' or 'outer', got {self.side!r}")
         if not self.radius > 0.0:
             raise ValueError("ring radius must be positive")
-        if not isinstance(self.size, (int, np.integer)) or self.size < 3:
+        if not is_count(self.size) or self.size < 3:
             raise ValueError(f"a ring needs a whole number of at least 3 nodes, got {self.size!r}")
         angles = 2.0 * np.pi * np.arange(self.size) / self.size
         angles.flags.writeable = False
@@ -85,10 +90,6 @@ class BoundaryFunction:
     @classmethod
     def zeros(cls, ring: BoundaryRing) -> BoundaryFunction:
         return cls(ring, np.zeros(ring.size))
-
-    @classmethod
-    def from_callable(cls, ring: BoundaryRing, fn) -> BoundaryFunction:
-        return cls(ring, np.asarray([fn(t) for t in ring.angles], dtype=float))
 
     def copy(self) -> BoundaryFunction:
         return BoundaryFunction(self.ring, self.values.copy())

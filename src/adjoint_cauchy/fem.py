@@ -19,7 +19,8 @@ The outward normal flux on the inner circle is recovered variationally:
 for a discrete solution whose load vanishes at inner-ring nodes, the
 stiffness residual restricted to those nodes equals the ring mass applied
 to the flux, so dividing by the lumped ring weight, which on the regular
-ring polygon is its one chord length, gives nodal flux values. Together
+ring polygon is its one chord length, gives nodal flux values; those rows
+are the other half of ``FourierSolver``'s preparation. Together
 with the matching boundary quadratures used for the Neumann load and the
 misfit functional, this makes the adjoint gradient of the discrete
 functional exact up to rounding.
@@ -29,12 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .boundary import (
-    BoundaryFunction,
-    BoundaryRing,
-    ring_mass_apply,
-    rings_compatible,
-)
+from .boundary import BoundaryFunction, BoundaryRing, ring_mass_apply, rings_compatible
 from .mesh import QUAD_CORNERS, AnnulusMesh
 
 Array = np.ndarray
@@ -43,9 +39,7 @@ __all__ = [
     "FourierSolver",
     "SolverError",
     "assemble_stiffness",
-    "flux_rows",
     "local_stiffness",
-    "neumann_load",
     "solve_mixed_bvp",
     "trace",
     "normal_flux",
@@ -97,33 +91,22 @@ def assemble_stiffness(mesh: AnnulusMesh) -> Array:
     return stencils
 
 
-def _require_mesh_ring(mesh: AnnulusMesh, ring: BoundaryRing) -> None:
-    if ring.node_ids is None or not (
-        rings_compatible(ring, mesh.inner_ring) or rings_compatible(ring, mesh.outer_ring)
-    ):
-        raise ValueError("boundary data must live on a ring of this mesh")
-
-
-def neumann_load(mesh: AnnulusMesh, g: BoundaryFunction) -> Array:
-    """Global load vector of Neumann data ``g`` on one boundary ring.
-
-    The ring's piecewise-linear mass matrix is applied to the nodal data,
-    i.e. the load is the exact line integral of g against each basis hat.
-    """
-    _require_mesh_ring(mesh, g.ring)
-    load = np.zeros(mesh.n_nodes)
-    load[g.ring.node_ids] = ring_mass_apply(g.ring, g.values)
-    return load
-
-
 class FourierSolver:
-    """Per-mode response of one mesh's Dirichlet-reduced stiffness.
+    """The one preparation of a mesh's solves: per-mode responses of the
+    Dirichlet-reduced stiffness and the inner-ring flux rows.
 
     Data enter that system at two levels only, so per angular mode a
     solution is ``dirichlet_response`` times the Dirichlet data plus
     ``neumann_response`` times the outer load. Both are found once, by
     substitution through each mode's tridiagonal system, and indexed by
     free level (row f is level f + 1) and mode ``0..n_angular//2``.
+
+    The flux rows are the inner-ring rows of the stiffness divided by the
+    ring's chord: ``flux_ids`` of shape ``(n_angular, 6)`` hold, for inner
+    node j, the nodes of levels 0 and 1 at angular positions j - 1, j and
+    j + 1, and ``flux_weights`` the six weights every inner node shares,
+    level 0's stencil entries for those nodes divided by the chord, each
+    node's lumped ring weight.
     """
 
     def __init__(self, mesh: AnnulusMesh):
@@ -147,29 +130,28 @@ class FourierSolver:
         for f in range(n_radial - 2, -1, -1):
             response[f] = (response[f] - upper[f] * response[f + 1]) / pivots[f]
         self.dirichlet_response, self.neumann_response = response[:, 0], response[:, 1]
+
+        positions = (np.arange(n_angular)[:, None] + np.arange(-1, 2)) % n_angular
+        self.flux_ids = np.hstack((positions, positions + n_angular))
+        self.flux_weights = stencils[0, 1:].ravel() / mesh.inner_ring.chord
         self.mesh = mesh
 
 
 def solve_mixed_bvp(
-    mesh: AnnulusMesh,
+    solver: FourierSolver,
     neumann_outer: BoundaryFunction,
     dirichlet_inner: BoundaryFunction,
-    solver: FourierSolver | None = None,
 ) -> Array:
-    """Nodal solution of the Laplace problem with outer Neumann data and
-    inner Dirichlet data, exact up to rounding.
+    """Nodal solution on ``solver``'s mesh of the Laplace problem with outer
+    Neumann data and inner Dirichlet data, exact up to rounding.
 
-    Pass ``FourierSolver(mesh)`` as ``solver`` to reuse its responses across
-    solves on the same mesh. Raises ``SolverError`` on a non-finite field.
+    Raises ``SolverError`` on a non-finite field.
     """
+    mesh = solver.mesh
     if not rings_compatible(neumann_outer.ring, mesh.outer_ring):
         raise ValueError("Neumann data must live on the mesh's outer ring")
     if not rings_compatible(dirichlet_inner.ring, mesh.inner_ring):
         raise ValueError("Dirichlet data must live on the mesh's inner ring")
-    if solver is None:
-        solver = FourierSolver(mesh)
-    elif solver.mesh is not mesh:
-        raise ValueError("the solver was prepared for another mesh")
     load = ring_mass_apply(mesh.outer_ring, neumann_outer.values)
     modes = solver.dirichlet_response * np.fft.rfft(dirichlet_inner.values)
     modes += solver.neumann_response * np.fft.rfft(load)
@@ -190,34 +172,15 @@ def trace(field: Array, ring: BoundaryRing) -> BoundaryFunction:
     return BoundaryFunction(ring, np.asarray(field, dtype=float)[ring.node_ids].copy())
 
 
-def flux_rows(mesh: AnnulusMesh) -> tuple[Array, Array]:
-    """Inner-ring rows of the stiffness, divided by the ring's chord.
-
-    Returns node ids of shape ``(n_angular, 6)``, for inner node j the nodes
-    of levels 0 and 1 at angular positions j - 1, j and j + 1, and the six
-    weights every inner node shares: level 0's stencil entries for those
-    nodes divided by the chord, each node's lumped ring weight.
-    """
-    stencils = assemble_stiffness(mesh)
-    n_angular = mesh.spec.n_angular
-    positions = (np.arange(n_angular)[:, None] + np.arange(-1, 2)) % n_angular
-    ids = np.hstack((positions, positions + n_angular))
-    return ids, stencils[0, 1:].ravel() / mesh.inner_ring.chord
-
-
-def normal_flux(
-    field: Array,
-    mesh: AnnulusMesh,
-    inner_rows: tuple[Array, Array] | None = None,
-) -> BoundaryFunction:
-    """Outward normal derivative of a solution on the inner ring.
+def normal_flux(field: Array, solver: FourierSolver) -> BoundaryFunction:
+    """Outward normal derivative on the inner ring of a solution on
+    ``solver``'s mesh.
 
     Valid for fields produced by ``solve_mixed_bvp``: their load vanishes
     at inner-ring nodes, so the stiffness residual there is the ring mass
     applied to the flux. The residual divided by the lumped ring weight
     is the nodal flux, with the normal pointing out of the annulus
-    (toward the origin). ``inner_rows`` are ``flux_rows(mesh)``; pass them
-    to reuse one preparation across calls.
+    (toward the origin).
     """
-    ids, weights = flux_rows(mesh) if inner_rows is None else inner_rows
-    return BoundaryFunction(mesh.inner_ring, np.asarray(field, dtype=float)[ids] @ weights)
+    values = np.asarray(field, dtype=float)[solver.flux_ids] @ solver.flux_weights
+    return BoundaryFunction(solver.mesh.inner_ring, values)

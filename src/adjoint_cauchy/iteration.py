@@ -41,16 +41,11 @@ from .boundary import (
     BoundaryFunction,
     BoundaryRing,
     boundary_norm,
+    is_count,
     ring_mass_apply,
     rings_compatible,
 )
-from .fem import (
-    FourierSolver,
-    flux_rows,
-    normal_flux,
-    solve_mixed_bvp,
-    trace,
-)
+from .fem import FourierSolver, normal_flux, solve_mixed_bvp, trace
 from .fourier import band_coefficients, band_samples
 from .mesh import AnnulusMesh
 from .spectral import DEFAULT_BAND_CAP, solve_series
@@ -148,8 +143,8 @@ class StopRule:
             raise ValueError("j_tol must be positive")
         if not self.grad_eps > 0.0:
             raise ValueError("grad_eps must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
+        if not is_count(self.max_iters) or self.max_iters < 1:
+            raise ValueError(f"max_iters must be a whole number >= 1, got {self.max_iters!r}")
 
 
 @dataclass
@@ -185,16 +180,14 @@ class Backend(Protocol):
 class FemBackend:
     """Finite element solves on a fixed annulus mesh.
 
-    The direct solver and the inner-ring rows that recover the flux are
-    prepared once, at construction, each from the stiffness stencils;
-    everything else is recomputed per call, so instances are safe to share
-    between concurrent runs.
+    The ``FourierSolver``, which holds the per-mode responses and the
+    inner-ring flux rows, is prepared once, at construction; everything
+    else is recomputed per call, so instances are safe to share between
+    concurrent runs.
     """
 
     def __init__(self, mesh: AnnulusMesh):
-        self.mesh = mesh
         self.solver = FourierSolver(mesh)
-        self.inner_rows = flux_rows(mesh)
         self.inner_ring = mesh.inner_ring
         self.outer_ring = mesh.outer_ring
         self.r_inner = mesh.spec.r_inner
@@ -203,19 +196,12 @@ class FemBackend:
     def solve_primary(
         self, omega: BoundaryFunction, q_bar: BoundaryFunction
     ) -> BoundaryFunction:
-        field_ = solve_mixed_bvp(self.mesh, q_bar, omega, solver=self.solver)
-        return trace(field_, self.outer_ring)
+        return trace(solve_mixed_bvp(self.solver, q_bar, omega), self.outer_ring)
 
     def solve_adjoint(self, neumann: BoundaryFunction) -> BoundaryFunction:
         """Descent gradient: minus the inner-ring flux of the adjoint field."""
-        field_ = solve_mixed_bvp(
-            self.mesh,
-            neumann,
-            BoundaryFunction.zeros(self.inner_ring),
-            solver=self.solver,
-        )
-        flux = normal_flux(field_, self.mesh, inner_rows=self.inner_rows)
-        return BoundaryFunction(self.inner_ring, -flux.values)
+        field_ = solve_mixed_bvp(self.solver, neumann, BoundaryFunction.zeros(self.inner_ring))
+        return BoundaryFunction(self.inner_ring, -normal_flux(field_, self.solver).values)
 
     def functional(self, v_trace: BoundaryFunction, u_bar: BoundaryFunction) -> float:
         """Piecewise-linear boundary quadrature of |v - u_bar|^2.
@@ -344,13 +330,13 @@ def run(
 ) -> RunResult:
     """Drive the descent iteration until a stop rule fires.
 
-    Starts from ``omega0`` (zero trace by default). Every iterate gets one
-    history record with cumulative solve counts; the terminal record
-    carries NaN for the step and, unless the gradient threshold fired,
-    for the gradient norm. Hitting ``max_iters`` returns a result flagged
-    not converged rather than raising; a functional that is not finite, or
-    that keeps increasing under a fixed-step strategy past the steps of a
-    mode sweep, raises ``DivergenceError``.
+    Starts from ``omega0``, which must be finite (zero trace by default).
+    Every iterate gets one history record with cumulative solve counts;
+    the terminal record carries NaN for the step and, unless the gradient
+    threshold fired, for the gradient norm. Hitting ``max_iters`` returns a
+    result flagged not converged rather than raising; a functional that is
+    not finite, or that keeps increasing under a fixed-step strategy past
+    the steps of a mode sweep, raises ``DivergenceError``.
     """
     if not rings_compatible(data.u_bar.ring, backend.outer_ring):
         raise ValueError("Cauchy data does not match the backend's outer ring")
@@ -359,6 +345,8 @@ def run(
     else:
         if not rings_compatible(omega0.ring, backend.inner_ring):
             raise ValueError("omega0 does not match the backend's inner ring")
+        if not np.isfinite(omega0.values).all():
+            raise ValueError("omega0 has a non-finite value")
         omega = omega0.copy()
 
     counters = SolveCounters()

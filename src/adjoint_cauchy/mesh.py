@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .boundary import BoundaryRing
+from .boundary import BoundaryRing, is_count
 
 Array = np.ndarray
 
@@ -52,10 +52,10 @@ class AnnulusSpec:
     def __post_init__(self):
         if not (0.0 < self.r_inner < self.r_outer):
             raise ValueError("radii must satisfy 0 < r_inner < r_outer")
-        if self.n_radial < 1:
-            raise ValueError("n_radial must be at least 1")
-        if self.n_angular < 3:
-            raise ValueError("n_angular must be at least 3")
+        if not is_count(self.n_radial) or self.n_radial < 1:
+            raise ValueError(f"n_radial must be a whole number >= 1, got {self.n_radial!r}")
+        if not is_count(self.n_angular) or self.n_angular < 3:
+            raise ValueError(f"n_angular must be a whole number >= 3, got {self.n_angular!r}")
 
 
 @dataclass(frozen=True, eq=False)

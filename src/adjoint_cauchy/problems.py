@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .boundary import BoundaryFunction, BoundaryRing
+from .boundary import BoundaryFunction, BoundaryRing, is_count
 from .iteration import CauchyData
 
 __all__ = [
@@ -36,8 +36,8 @@ class HarmonicTerm:
     kind: str
 
     def __post_init__(self):
-        if self.mode < 0:
-            raise ValueError("term mode must be nonnegative")
+        if not is_count(self.mode) or self.mode < 0:
+            raise ValueError(f"term mode must be a nonnegative whole number, got {self.mode!r}")
         if self.kind not in ("cos", "sin"):
             raise ValueError("term kind must be 'cos' or 'sin'")
         if self.kind == "sin" and self.mode == 0:

@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Union
 
+from .boundary import is_count
 from .spectral import DEFAULT_BAND_CAP, gradient_factor
 
 __all__ = [
@@ -72,14 +73,21 @@ class Armijo:
             raise ValueError("Armijo shrink factor must lie in (0, 1)")
 
 
+def _require_band(mode_min: int, mode_max: int) -> None:
+    if not (is_count(mode_min) and is_count(mode_max) and 0 <= mode_min <= mode_max):
+        raise ValueError(
+            "band must be whole numbers with 0 <= mode_min <= mode_max, "
+            f"got {mode_min!r}, {mode_max!r}"
+        )
+
+
 @dataclass(frozen=True)
 class OptimalTwoMode:
     mode_min: int
     mode_max: int
 
     def __post_init__(self):
-        if not 0 <= self.mode_min <= self.mode_max:
-            raise ValueError("band must satisfy 0 <= mode_min <= mode_max")
+        _require_band(self.mode_min, self.mode_max)
 
     def step_size(self, k: int, r_inner: float, r_outer: float) -> float:
         return optimal_step(self.mode_min, self.mode_max, r_inner, r_outer)[0]
@@ -93,8 +101,7 @@ class ModeSweep:
     tail_rho: float | None = None
 
     def __post_init__(self):
-        if not 0 <= self.mode_min <= self.mode_max:
-            raise ValueError("band must satisfy 0 <= mode_min <= mode_max")
+        _require_band(self.mode_min, self.mode_max)
         if self.direction not in ("ascending", "descending"):
             raise ValueError("direction must be 'ascending' or 'descending'")
         if self.tail_rho is not None and not self.tail_rho > 0.0:

@@ -1,6 +1,5 @@
 """P1 assembly, mixed solves, traces, and boundary flux recovery."""
 
-import math
 import subprocess
 import sys
 import tracemalloc
@@ -20,14 +19,12 @@ from adjoint_cauchy import (
     cauchy_data,
     generate_mesh,
 )
-from adjoint_cauchy import iteration
-from adjoint_cauchy.boundary import BoundaryRing, boundary_norm
+from adjoint_cauchy import fem, iteration
+from adjoint_cauchy.boundary import BoundaryRing, boundary_norm, ring_mass_apply
 from adjoint_cauchy.fem import (
     FourierSolver,
     assemble_stiffness,
-    flux_rows,
     local_stiffness,
-    neumann_load,
     normal_flux,
     solve_mixed_bvp,
     trace,
@@ -107,13 +104,21 @@ def test_flux_rows_are_the_inner_rows_over_lumped_weights():
     field = np.random.default_rng(3).standard_normal(mesh.n_nodes)
     ring = mesh.inner_ring
     want = (sparse_stiffness(mesh)[ring.node_ids] @ field) / ring.chord
-    got = normal_flux(field, mesh, inner_rows=flux_rows(mesh))
+    got = normal_flux(field, FourierSolver(mesh))
     assert np.abs(got.values - want).max() <= 1e-13 * np.abs(want).max()
 
 
-def test_backend_setup_stores_no_mesh_arrays():
+def test_backend_setup_stores_no_mesh_arrays(monkeypatch):
     """Set-up reads only the spec: no node, triangle or per-triangle array
-    of the 108x640 mesh (about 32 MB when they were formed) is allocated."""
+    of the 108x640 mesh (about 32 MB when they were formed) is allocated,
+    and the stiffness stencils are assembled once."""
+    assemblies = []
+
+    def counted(mesh):
+        assemblies.append(mesh)
+        return assemble_stiffness(mesh)
+
+    monkeypatch.setattr(fem, "assemble_stiffness", counted)
     tracemalloc.start()
     try:
         FemBackend(generate_mesh(AnnulusSpec(1.0, 3.0, 108, 640)))
@@ -121,6 +126,7 @@ def test_backend_setup_stores_no_mesh_arrays():
     finally:
         tracemalloc.stop()
     assert peak < 8e6
+    assert len(assemblies) == 1
 
 
 def test_package_import_leaves_out_scipy(src_env):
@@ -131,39 +137,10 @@ def test_package_import_leaves_out_scipy(src_env):
     assert done.stdout.strip() == "[]"
 
 
-def test_neumann_load_constant():
-    mesh = generate_mesh(AnnulusSpec(1.0, 3.0, 3, 16))
-    g = BoundaryFunction(mesh.outer_ring, np.ones(16))
-    load = neumann_load(mesh, g)
-    perimeter = 2 * 16 * 3.0 * math.sin(math.pi / 16)
-    assert math.isclose(load.sum(), perimeter, rel_tol=1e-14)
-    mask = np.zeros(mesh.n_nodes, dtype=bool)
-    mask[mesh.outer_ring.node_ids] = True
-    assert np.all(load[~mask] == 0.0)
-
-
-def test_neumann_load_mean_zero_data():
-    mesh = generate_mesh(AnnulusSpec(1.0, 3.0, 2, 16))
-    g = BoundaryFunction(mesh.outer_ring, np.cos(2 * mesh.outer_ring.angles))
-    assert abs(neumann_load(mesh, g).sum()) < 1e-10
-
-
-def test_neumann_load_zero_and_ring_checks():
-    mesh = generate_mesh(AnnulusSpec(1.0, 3.0, 2, 16))
-    z = neumann_load(mesh, BoundaryFunction.zeros(mesh.outer_ring))
-    assert np.all(z == 0.0)
-    inner = BoundaryFunction(mesh.inner_ring, np.ones(16))
-    load = neumann_load(mesh, inner)
-    assert math.isclose(load.sum(), 2 * 16 * 1.0 * math.sin(math.pi / 16), rel_tol=1e-14)
-    foreign = BoundaryFunction.zeros(BoundaryRing("outer", 3.0, 12))
-    with pytest.raises(ValueError):
-        neumann_load(mesh, foreign)
-
-
 def test_solve_constant_dirichlet_gives_constant_field():
     mesh = generate_mesh(AnnulusSpec(1.0, 3.0, 4, 24))
     v = solve_mixed_bvp(
-        mesh,
+        FourierSolver(mesh),
         BoundaryFunction.zeros(mesh.outer_ring),
         BoundaryFunction(mesh.inner_ring, np.ones(24)),
     )
@@ -175,7 +152,7 @@ def test_solve_reproduces_quadratic_harmonic(default_mesh):
     mesh = default_mesh
     q = BoundaryFunction(mesh.outer_ring, 6 * np.cos(2 * mesh.outer_ring.angles))
     w = BoundaryFunction(mesh.inner_ring, np.cos(2 * mesh.inner_ring.angles))
-    v = solve_mixed_bvp(mesh, q, w)
+    v = solve_mixed_bvp(FourierSolver(mesh), q, w)
     got = trace(v, mesh.outer_ring)
     want = BoundaryFunction(mesh.outer_ring, 9 * np.cos(2 * mesh.outer_ring.angles))
     assert boundary_norm(got - want) / boundary_norm(want) < 0.01
@@ -185,7 +162,7 @@ def test_solve_single_mode_trace_damping(default_mesh):
     # q = 0, w = cos 2t: outer trace (9/41) cos 2t
     mesh = default_mesh
     w = BoundaryFunction(mesh.inner_ring, np.cos(2 * mesh.inner_ring.angles))
-    v = solve_mixed_bvp(mesh, BoundaryFunction.zeros(mesh.outer_ring), w)
+    v = solve_mixed_bvp(FourierSolver(mesh), BoundaryFunction.zeros(mesh.outer_ring), w)
     got = trace(v, mesh.outer_ring)
     want = BoundaryFunction(mesh.outer_ring, (9.0 / 41.0) * np.cos(2 * mesh.outer_ring.angles))
     assert boundary_norm(got - want) / boundary_norm(want) < 0.01
@@ -197,7 +174,7 @@ def test_trace_extracts_ring_values(default_mesh):
     assert_allclose(trace(field, mesh.inner_ring).values, 3.25)
     # Dirichlet values are pinned exactly, not approximately
     v = solve_mixed_bvp(
-        mesh,
+        FourierSolver(mesh),
         BoundaryFunction.zeros(mesh.outer_ring),
         BoundaryFunction(mesh.inner_ring, np.ones(mesh.inner_ring.size)),
     )
@@ -207,7 +184,7 @@ def test_trace_extracts_ring_values(default_mesh):
 
 
 def test_normal_flux_constant_field(default_mesh):
-    flux = normal_flux(np.ones(default_mesh.n_nodes), default_mesh)
+    flux = normal_flux(np.ones(default_mesh.n_nodes), FourierSolver(default_mesh))
     assert np.max(np.abs(flux.values)) < 1e-10
 
 
@@ -216,8 +193,8 @@ def test_normal_flux_of_quadratic_harmonic(default_mesh):
     mesh = default_mesh
     q = BoundaryFunction(mesh.outer_ring, 6 * np.cos(2 * mesh.outer_ring.angles))
     w = BoundaryFunction(mesh.inner_ring, np.cos(2 * mesh.inner_ring.angles))
-    v = solve_mixed_bvp(mesh, q, w)
-    flux = normal_flux(v, mesh)
+    v = solve_mixed_bvp(FourierSolver(mesh), q, w)
+    flux = normal_flux(v, FourierSolver(mesh))
     want = BoundaryFunction(mesh.inner_ring, -2.0 * np.cos(2 * mesh.inner_ring.angles))
     assert boundary_norm(flux - want) / boundary_norm(want) < 0.02
 
@@ -227,35 +204,38 @@ def test_adjoint_flux_recovers_descent_direction(default_mesh):
     # +C_2 cos 2t = (486/1681) cos 2t, the negative of the gradient.
     mesh = default_mesh
     data = cauchy_data(builtin_terms("example1"), mesh.outer_ring)
+    solver = FourierSolver(mesh)
     zero_inner = BoundaryFunction.zeros(mesh.inner_ring)
-    v = solve_mixed_bvp(mesh, data.q_bar, zero_inner)
+    v = solve_mixed_bvp(solver, data.q_bar, zero_inner)
     misfit = trace(v, mesh.outer_ring) - data.u_bar
-    vhat = solve_mixed_bvp(mesh, 2.0 * misfit, zero_inner)
-    flux = normal_flux(vhat, mesh)
+    vhat = solve_mixed_bvp(solver, 2.0 * misfit, zero_inner)
+    flux = normal_flux(vhat, solver)
     want = BoundaryFunction(mesh.inner_ring, (486.0 / 1681.0) * np.cos(2 * mesh.inner_ring.angles))
     assert boundary_norm(flux - want) / boundary_norm(want) < 0.05
 
 
 def test_discrete_maximum_principle():
     mesh = generate_mesh(AnnulusSpec(1.0, 3.0, 4, 24))
+    solver = FourierSolver(mesh)
     rng = np.random.default_rng(8)
     for _ in range(3):
         w = BoundaryFunction(mesh.inner_ring, rng.uniform(-2.0, 2.0, 24))
-        v = solve_mixed_bvp(mesh, BoundaryFunction.zeros(mesh.outer_ring), w)
+        v = solve_mixed_bvp(solver, BoundaryFunction.zeros(mesh.outer_ring), w)
         assert v.min() >= w.values.min() - 1e-8
         assert v.max() <= w.values.max() + 1e-8
 
 
 def test_solver_linearity():
     mesh = generate_mesh(AnnulusSpec(1.0, 3.0, 4, 24))
+    solver = FourierSolver(mesh)
     rng = np.random.default_rng(14)
     q1 = BoundaryFunction(mesh.outer_ring, rng.standard_normal(24))
     q2 = BoundaryFunction(mesh.outer_ring, rng.standard_normal(24))
     w1 = BoundaryFunction(mesh.inner_ring, rng.standard_normal(24))
     w2 = BoundaryFunction(mesh.inner_ring, rng.standard_normal(24))
     a, b = 1.75, -0.6
-    v_combo = solve_mixed_bvp(mesh, a * q1 + b * q2, a * w1 + b * w2)
-    v_parts = a * solve_mixed_bvp(mesh, q1, w1) + b * solve_mixed_bvp(mesh, q2, w2)
+    v_combo = solve_mixed_bvp(solver, a * q1 + b * q2, a * w1 + b * w2)
+    v_parts = a * solve_mixed_bvp(solver, q1, w1) + b * solve_mixed_bvp(solver, q2, w2)
     assert np.max(np.abs(v_combo - v_parts)) < 1e-12
 
 
@@ -265,13 +245,15 @@ def test_solve_matches_sparse_direct_solve(n_radial, n_angular):
     rng = np.random.default_rng(n_radial * 100 + n_angular)
     q = BoundaryFunction(mesh.outer_ring, rng.standard_normal(n_angular))
     w = BoundaryFunction(mesh.inner_ring, rng.standard_normal(n_angular))
-    got = solve_mixed_bvp(mesh, q, w, solver=FourierSolver(mesh))
+    got = solve_mixed_bvp(FourierSolver(mesh), q, w)
 
     k = sparse_stiffness(mesh)
     fixed = mesh.inner_ring.node_ids
     free = np.ones(mesh.n_nodes, dtype=bool)
     free[fixed] = False
-    rhs = neumann_load(mesh, q)[free] - k[free][:, fixed] @ w.values
+    load = np.zeros(mesh.n_nodes)
+    load[mesh.outer_ring.node_ids] = ring_mass_apply(mesh.outer_ring, q.values)
+    rhs = load[free] - k[free][:, fixed] @ w.values
     want = spsolve(k[free][:, free].tocsc(), rhs)
     assert np.linalg.norm(got[free] - want) <= 1e-12 * np.linalg.norm(want)
 
@@ -303,24 +285,16 @@ def test_non_finite_data_raises_solver_error():
 
 def test_solve_ring_validation():
     mesh = generate_mesh(AnnulusSpec(1.0, 3.0, 2, 8))
+    solver = FourierSolver(mesh)
     with pytest.raises(ValueError):
         solve_mixed_bvp(
-            mesh,
+            solver,
             BoundaryFunction.zeros(BoundaryRing("outer", 3.0, 12)),
             BoundaryFunction.zeros(mesh.inner_ring),
         )
     with pytest.raises(ValueError):
         solve_mixed_bvp(
-            mesh,
+            solver,
             BoundaryFunction.zeros(mesh.outer_ring),
             BoundaryFunction.zeros(BoundaryRing("inner", 1.0, 12)),
-        )
-    # factors prepared for a mesh of the same shape belong to another mesh
-    other = FourierSolver(generate_mesh(AnnulusSpec(1.0, 3.0, 2, 8)))
-    with pytest.raises(ValueError):
-        solve_mixed_bvp(
-            mesh,
-            BoundaryFunction.zeros(mesh.outer_ring),
-            BoundaryFunction.zeros(mesh.inner_ring),
-            solver=other,
         )

@@ -414,12 +414,22 @@ def test_data_and_stop_validation():
         StopRule(grad_eps=-1.0)
     with pytest.raises(ValueError):
         StopRule(max_iters=0)
+    for max_iters in (2.5, 2.0, True):
+        with pytest.raises(ValueError, match="whole number"):
+            StopRule(max_iters=max_iters)
 
 
-def test_run_rejects_foreign_start(spectral, ex1):
+def test_run_rejects_foreign_start(spectral, ex1, fem_default):
     wrong = BoundaryFunction.zeros(BoundaryRing("inner", 1.0, 32))
     with pytest.raises(ValueError):
         run(spectral, ex1, Constant(0.3), omega0=wrong)
+    for backend in (spectral, fem_default):
+        data = cauchy_data(builtin_terms("example1"), backend.outer_ring)
+        for bad_value in (math.nan, math.inf):
+            start = BoundaryFunction.zeros(backend.inner_ring)
+            start.values[3] = bad_value
+            with pytest.raises(ValueError, match="omega0"):
+                run(backend, data, Constant(0.3), omega0=start)
 
 
 def test_non_finite_functional_is_divergence(spectral, ex2):

@@ -38,6 +38,9 @@ def test_spec_validation():
         AnnulusSpec(-1.0, 3.0, 2, 4)
     with pytest.raises(ValueError):
         AnnulusSpec(1.0, 3.0, 2, 2)
+    for counts in ((2.5, 16), (2, 16.0), (True, 16)):
+        with pytest.raises(ValueError, match="whole number"):
+            AnnulusSpec(1.0, 3.0, *counts)
 
 
 def test_boundary_rings():

@@ -78,6 +78,9 @@ def test_term_validation():
         HarmonicTerm(1.0, -1, "cos")
     with pytest.raises(ValueError):
         HarmonicTerm(1.0, 1, "tan")
+    for mode in (2.5, 2.0, True):
+        with pytest.raises(ValueError, match="whole number"):
+            HarmonicTerm(1.0, mode, "cos")
     with pytest.raises(ValueError):
         builtin_terms("example3")
 

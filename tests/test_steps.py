@@ -183,6 +183,11 @@ def test_strategy_validation():
         OptimalTwoMode(2, 1)
     with pytest.raises(ValueError):
         OptimalTwoMode(-1, 1)
+    for band in ((0, 2.5), (0.0, 2), (False, 2)):
+        with pytest.raises(ValueError, match="whole number"):
+            OptimalTwoMode(*band)
+        with pytest.raises(ValueError, match="whole number"):
+            ModeSweep(*band)
     with pytest.raises(ValueError):
         ModeSweep(0, 2, "sideways")
     with pytest.raises(ValueError):
