@@ -18,12 +18,13 @@ inner circle), and is exact up to the analysis band.
 Each iteration costs exactly one primary and one adjoint solve, so a run
 of k iterations books k + 1 primary and k adjoint solves; line-search
 trials are counted separately so solver budgets of different step
-strategies can be compared. ``run`` asks a fixed-step rule for its
-``step_size``; an ``Armijo`` rule instead gets its step from
-``steps.armijo_step``. Its accepted trial, the last one, has solved the
-primary problem at the next iterate, so that solve is kept and booked as
-the next iterate's primary solve; only the rejected trials count as
-line-search solves.
+strategies can be compared. ``run`` asks every rule for its step with one
+``strategy.step`` call and hands it ``line(beta)``, which solves for the
+functional at omega - beta*grad. A fixed rule never calls it; ``Armijo``
+calls it once per trial. If the last trial was taken at the step the rule
+returns, it has solved the primary problem at the next iterate, so that
+solve is kept and booked as the next iterate's primary solve; every other
+trial counts as a line-search solve.
 """
 
 from __future__ import annotations
@@ -59,15 +60,13 @@ __all__ = [
     "DivergenceError",
     "FemBackend",
     "SpectralBackend",
-    "evaluate_functional",
-    "gradient",
     "run",
     "write_history_csv",
 ]
 
-# Consecutive functional increases tolerated before a non-line-search run
-# is declared divergent. The steps of a mode sweep may raise the functional
-# by design, so rises they cause are not counted.
+# Consecutive functional increases tolerated before a run is declared
+# divergent. A rule's planned rises (the steps of a mode sweep, which may
+# raise the functional by design) are not counted.
 DIVERGENCE_PATIENCE = 5
 
 
@@ -116,9 +115,9 @@ class IterationRecord:
     ``rho`` and ``grad_norm`` are NaN on a terminal record where the run
     stopped before stepping; the solve counters are cumulative. Record k
     counts k + 1 primary solves, one per iterate so far, and the rejected
-    line-search trials of steps 0..k. Under ``Armijo`` the accepted trial
-    of step k is iterate k + 1's primary solve, so record k + 1 counts it,
-    not record k.
+    line-search trials of steps 0..k. A trial taken at step k's ``rho``
+    (``Armijo``'s accepted one) is iterate k + 1's primary solve, so
+    record k + 1 counts it, not record k.
     """
 
     k: int
@@ -236,8 +235,8 @@ class SpectralBackend:
     ):
         if not (0.0 < r_inner < r_outer):
             raise ValueError("radii must satisfy 0 < r_inner < r_outer")
-        if max_mode < 0:
-            raise ValueError("max_mode must be nonnegative")
+        if not is_count(max_mode) or max_mode < 0:
+            raise ValueError(f"max_mode must be a whole number >= 0, got {max_mode!r}")
         self.r_inner = r_inner
         self.r_outer = r_outer
         self.max_mode = min(max_mode, (n_angular - 1) // 2)
@@ -289,38 +288,6 @@ class SpectralBackend:
             return float(2.0 * math.pi * self.r_outer * (power[0] + 2.0 * power[1:].sum()))
 
 
-def evaluate_functional(
-    backend: Backend,
-    omega: BoundaryFunction,
-    data: CauchyData,
-    counters: SolveCounters | None = None,
-) -> tuple[float, BoundaryFunction]:
-    """Misfit functional at ``omega`` and the outer trace that produced it.
-
-    Costs one primary solve, booked on ``counters`` when given.
-    """
-    v_trace = backend.solve_primary(omega, data.q_bar)
-    if counters is not None:
-        counters.primary += 1
-    return backend.functional(v_trace, data.u_bar), v_trace
-
-
-def gradient(
-    backend: Backend,
-    v_trace: BoundaryFunction,
-    data: CauchyData,
-    counters: SolveCounters | None = None,
-) -> BoundaryFunction:
-    """Descent gradient from an already computed outer trace.
-
-    Costs one adjoint solve, driven by twice the misfit.
-    """
-    grad = backend.solve_adjoint(2.0 * (v_trace - data.u_bar))
-    if counters is not None:
-        counters.adjoint += 1
-    return grad
-
-
 def run(
     backend: Backend,
     data: CauchyData,
@@ -335,8 +302,8 @@ def run(
     the terminal record carries NaN for the step and, unless the gradient
     threshold fired, for the gradient norm. Hitting ``max_iters`` returns a
     result flagged not converged rather than raising; a functional that is
-    not finite, or that keeps increasing under a fixed-step strategy past
-    the steps of a mode sweep, raises ``DivergenceError``.
+    not finite, or that keeps increasing past the rule's planned rises,
+    raises ``DivergenceError``.
     """
     if not rings_compatible(data.u_bar.ring, backend.outer_ring):
         raise ValueError("Cauchy data does not match the backend's outer ring")
@@ -351,19 +318,18 @@ def run(
 
     counters = SolveCounters()
     history: list[IterationRecord] = []
-    line_search = isinstance(strategy, step_rules.Armijo)
-    planned_rises = strategy.length if isinstance(strategy, step_rules.ModeSweep) else 0
     previous_j = math.inf
     increases = 0
     iterations = 0
     converged = False
     reason = "max_iters"
-    # (J, outer trace) of omega when the line search has already solved it
+    # (J, outer trace) of omega when a line trial has already solved it
     evaluation = None
 
     for k in range(stop.max_iters + 1):
         if evaluation is None:
-            evaluation = evaluate_functional(backend, omega, data)
+            v_trace = backend.solve_primary(omega, data.q_bar)
+            evaluation = backend.functional(v_trace, data.u_bar), v_trace
         counters.primary += 1
         j_value, v_trace = evaluation
 
@@ -374,9 +340,9 @@ def run(
                 history,
             )
         # iterate k is the result of step k - 1
-        if j_value > previous_j and k > planned_rises:
+        if j_value > previous_j and k > strategy.planned_rises:
             increases += 1
-            if not line_search and increases >= DIVERGENCE_PATIENCE:
+            if increases >= DIVERGENCE_PATIENCE:
                 raise DivergenceError(
                     f"functional increased for {increases} consecutive iterations "
                     f"(J = {j_value:.6e}); the step size exceeds the stable range",
@@ -387,41 +353,36 @@ def run(
         previous_j = j_value
 
         if j_value < stop.j_tol:
-            history.append(
-                _record(k, j_value, math.nan, math.nan, counters)
-            )
+            history.append(_record(k, j_value, math.nan, math.nan, counters))
             converged, reason = True, "j_tol"
             break
         if k == stop.max_iters:
             history.append(_record(k, j_value, math.nan, math.nan, counters))
             break
 
-        grad = gradient(backend, v_trace, data, counters)
+        grad = backend.solve_adjoint(2.0 * (v_trace - data.u_bar))
+        counters.adjoint += 1
         grad_norm = boundary_norm(grad)
         if grad_norm < stop.grad_eps:
             history.append(_record(k, j_value, grad_norm, math.nan, counters))
             converged, reason = True, "grad_eps"
             break
 
-        if line_search:
-            candidate = omega
+        trials = []  # (beta, omega - beta*grad, (J, outer trace)) per line call
 
-            def evaluate(beta: float) -> float:
-                nonlocal candidate, evaluation
-                candidate = omega - beta * grad
-                evaluation = evaluate_functional(backend, candidate, data)
-                return evaluation[0]
+        def line(beta: float) -> float:
+            candidate = omega - beta * grad
+            v_trial = backend.solve_primary(candidate, data.q_bar)
+            j_trial = backend.functional(v_trial, data.u_bar)
+            trials.append((beta, candidate, (j_trial, v_trial)))
+            return j_trial
 
-            rho, trials = step_rules.armijo_step(
-                evaluate, j_value, grad_norm**2, strategy.xi, strategy.tau
-            )
-            # the last trial is the accepted one: the next iterate, whose
-            # primary solve it is
-            counters.line_search += trials - 1
-            omega = candidate
+        rho = strategy.step(k, line, j_value, grad_norm**2, backend.r_inner, backend.r_outer)
+        if trials and trials[-1][0] == rho:
+            _, omega, evaluation = trials.pop()
         else:
-            rho = strategy.step_size(k, backend.r_inner, backend.r_outer)
             omega, evaluation = omega - rho * grad, None
+        counters.line_search += len(trials)
         history.append(_record(k, j_value, grad_norm, rho, counters))
         iterations += 1
 

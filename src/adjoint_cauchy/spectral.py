@@ -36,6 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .boundary import is_count
+
 __all__ = [
     "DEFAULT_BAND_CAP",
     "HarmonicSeries",
@@ -55,10 +57,25 @@ def _check_radii(r_inner: float, r_outer: float) -> None:
         raise ValueError("radii must satisfy 0 < r_inner < r_outer")
 
 
+def _check_mode(mode: int) -> int:
+    """|mode|: mode -j has the factors of mode j."""
+    if not is_count(mode):
+        raise ValueError(f"mode must be a whole number, got {mode!r}")
+    return abs(int(mode))
+
+
+def _require_band(mode_min: int, mode_max: int) -> None:
+    if not (is_count(mode_min) and is_count(mode_max) and 0 <= mode_min <= mode_max):
+        raise ValueError(
+            "band must be whole numbers with 0 <= mode_min <= mode_max, "
+            f"got {mode_min!r}, {mode_max!r}"
+        )
+
+
 def trace_factor(mode: int, r_inner: float, r_outer: float) -> float:
     """Attenuation of inner-trace mode ``mode`` seen on the outer circle."""
     _check_radii(r_inner, r_outer)
-    m = abs(int(mode))
+    m = _check_mode(mode)
     q = r_inner / r_outer
     qm = q**m
     return 2.0 * qm / (1.0 + qm * qm)
@@ -67,7 +84,7 @@ def trace_factor(mode: int, r_inner: float, r_outer: float) -> float:
 def gradient_factor(mode: int, r_inner: float, r_outer: float) -> float:
     """Per-mode coefficient mapping trace error to (minus) the gradient."""
     _check_radii(r_inner, r_outer)
-    m = abs(int(mode))
+    m = _check_mode(mode)
     q2m = (r_inner / r_outer) ** (2 * m)
     return 8.0 * (r_outer / r_inner) * q2m / (1.0 + q2m) ** 2
 
@@ -80,8 +97,7 @@ def compression_factor(
     Because C is strictly decreasing in |j|, the maximum of |1 - rho*C_j|
     over the band is attained at one of the two edge modes.
     """
-    if not 0 <= mode_min <= mode_max:
-        raise ValueError("band must satisfy 0 <= mode_min <= mode_max")
+    _require_band(mode_min, mode_max)
     c_lo = gradient_factor(mode_min, r_inner, r_outer)
     c_hi = gradient_factor(mode_max, r_inner, r_outer)
     return max(abs(1.0 - rho * c_lo), abs(1.0 - rho * c_hi))

@@ -1,7 +1,8 @@
 """Step size strategies for the boundary descent iteration.
 
-Five interchangeable rules. Four of them fix the step of iteration k in
-advance, and each answers ``step_size(k, r_inner, r_outer)`` itself:
+Five interchangeable ``StepStrategy`` rules; ``run`` asks each for the
+step of iteration k with one ``step`` call. Four fix their steps in
+advance and answer ``step_size(k, r_inner, r_outer)``:
 
 * ``Constant``: one fixed step.
 * ``OptimalTwoMode``: the constant step 2 / (C_M + C_N) that minimizes the
@@ -11,9 +12,10 @@ advance, and each answers ``step_size(k, r_inner, r_outer)`` itself:
   exhausted it falls back to a tail step.
 * ``ExplicitSchedule``: a literal step list with the same kind of tail.
 
-The fifth, ``Armijo``, depends on the functional along the descent ray, so
-``run`` drives ``armijo_step``: backtracking with the sufficient decrease
-test J(omega - beta*grad) <= J - xi*beta*||grad||^2, starting at beta = 1.
+The fifth, ``Armijo``, depends on the functional along the descent ray,
+so its ``step`` runs ``armijo_step``: backtracking with the sufficient
+decrease test J(omega - beta*grad) <= J - xi*beta*||grad||^2, starting at
+beta = 1.
 
 C_m is the per-mode gradient factor of the annulus, strictly decreasing
 in m, so 1 / C_m grows with the mode index and a "descending" sweep
@@ -23,10 +25,9 @@ in m, so 1 / C_m grows with the mode index and a "descending" sweep
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable
 
-from .boundary import is_count
-from .spectral import DEFAULT_BAND_CAP, gradient_factor
+from .spectral import DEFAULT_BAND_CAP, _require_band, gradient_factor
 
 __all__ = [
     "Constant",
@@ -49,8 +50,22 @@ class StepUnderflowError(RuntimeError):
     """Armijo backtracking hit the halving cap without an acceptable step."""
 
 
+class StepStrategy:
+    """A step rule. ``planned_rises`` counts the leading steps that may
+    raise the functional by design, which ``run``'s divergence guard skips."""
+
+    planned_rises = 0
+
+    def step(self, k, line, j_value, grad_norm_sq, r_inner, r_outer) -> float:
+        """Step of iteration k at functional ``j_value``. ``line(beta)``
+        returns the functional at omega - beta*grad, one primary solve per
+        call; if the last call was at the returned step, that solve is the
+        next iterate's. A fixed rule ignores it and answers ``step_size``."""
+        return self.step_size(k, r_inner, r_outer)
+
+
 @dataclass(frozen=True)
-class Constant:
+class Constant(StepStrategy):
     rho: float
 
     def __post_init__(self):
@@ -62,7 +77,7 @@ class Constant:
 
 
 @dataclass(frozen=True)
-class Armijo:
+class Armijo(StepStrategy):
     xi: float = 1.0 / 3.0
     tau: float = 0.5
 
@@ -72,17 +87,13 @@ class Armijo:
         if not 0.0 < self.tau < 1.0:
             raise ValueError("Armijo shrink factor must lie in (0, 1)")
 
-
-def _require_band(mode_min: int, mode_max: int) -> None:
-    if not (is_count(mode_min) and is_count(mode_max) and 0 <= mode_min <= mode_max):
-        raise ValueError(
-            "band must be whole numbers with 0 <= mode_min <= mode_max, "
-            f"got {mode_min!r}, {mode_max!r}"
-        )
+    def step(self, k, line, j_value, grad_norm_sq, r_inner, r_outer) -> float:
+        """The accepted trial, which is the last ``line`` call."""
+        return armijo_step(line, j_value, grad_norm_sq, self.xi, self.tau)[0]
 
 
 @dataclass(frozen=True)
-class OptimalTwoMode:
+class OptimalTwoMode(StepStrategy):
     mode_min: int
     mode_max: int
 
@@ -94,7 +105,7 @@ class OptimalTwoMode:
 
 
 @dataclass(frozen=True)
-class ModeSweep:
+class ModeSweep(StepStrategy):
     mode_min: int
     mode_max: int
     direction: str = "descending"
@@ -108,8 +119,8 @@ class ModeSweep:
             raise ValueError("tail step size must be positive")
 
     @property
-    def length(self) -> int:
-        """Number of sweep steps, one per band mode."""
+    def planned_rises(self) -> int:
+        """Number of sweep steps, one per band mode; each may raise J."""
         return self.mode_max - self.mode_min + 1
 
     def step_size(self, k: int, r_inner: float, r_outer: float) -> float:
@@ -119,14 +130,14 @@ class ModeSweep:
         one band mode's gradient factor, visiting modes upward or downward;
         afterwards the tail step (``default_tail_rho`` unless given) is used.
         """
-        if k >= self.length:
+        if k >= self.planned_rises:
             return self.tail_rho or default_tail_rho(r_inner, r_outer)
         mode = self.mode_min + k if self.direction == "ascending" else self.mode_max - k
         return 1.0 / gradient_factor(mode, r_inner, r_outer)
 
 
 @dataclass(frozen=True)
-class ExplicitSchedule:
+class ExplicitSchedule(StepStrategy):
     rhos: tuple[float, ...]
     tail_rho: float | None = None
 
@@ -144,9 +155,6 @@ class ExplicitSchedule:
         if k >= len(self.rhos):
             return self.tail_rho or default_tail_rho(r_inner, r_outer)
         return self.rhos[k]
-
-
-StepStrategy = Union[Constant, Armijo, OptimalTwoMode, ModeSweep, ExplicitSchedule]
 
 
 def armijo_step(
@@ -185,8 +193,7 @@ def optimal_step(
     per-step contraction delta = (C_min - C_max) / (C_min + C_max); a
     single-mode band yields delta = 0, one-step convergence.
     """
-    if not 0 <= mode_min <= mode_max:
-        raise ValueError("band must satisfy 0 <= mode_min <= mode_max")
+    _require_band(mode_min, mode_max)
     c_lo = gradient_factor(mode_min, r_inner, r_outer)
     c_hi = gradient_factor(mode_max, r_inner, r_outer)
     rho = 2.0 / (c_lo + c_hi)

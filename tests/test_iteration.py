@@ -31,15 +31,8 @@ from adjoint_cauchy import (
 )
 from adjoint_cauchy.boundary import BoundaryRing, boundary_inner_product, boundary_norm
 from adjoint_cauchy.fourier import band_coefficients, band_samples
-from adjoint_cauchy.iteration import (
-    IterationRecord,
-    SolveCounters,
-    evaluate_functional,
-    gradient,
-    write_history_csv,
-)
+from adjoint_cauchy.iteration import IterationRecord, write_history_csv
 from adjoint_cauchy.spectral import solve_series
-from adjoint_cauchy.steps import armijo_step
 
 R_IN, R_OUT = 1.0, 3.0
 J_ZERO = 243.0 * math.pi / 1681.0
@@ -60,8 +53,14 @@ def ex2(spectral):
     return cauchy_data(builtin_terms("example2"), spectral.outer_ring)
 
 
+def functional_at(backend, omega, data):
+    """J at ``omega`` and the outer trace that produced it: one primary solve."""
+    v_trace = backend.solve_primary(omega, data.q_bar)
+    return backend.functional(v_trace, data.u_bar), v_trace
+
+
 def test_functional_at_zero(spectral, ex1):
-    j, v = evaluate_functional(spectral, BoundaryFunction.zeros(spectral.inner_ring), ex1)
+    j, v = functional_at(spectral, BoundaryFunction.zeros(spectral.inner_ring), ex1)
     assert abs(j - J_ZERO) < 1e-12
     th = spectral.outer_ring.angles
     assert_allclose((v - ex1.u_bar).values, -(9.0 / 41.0) * np.cos(2 * th), atol=1e-12)
@@ -69,28 +68,20 @@ def test_functional_at_zero(spectral, ex1):
 
 def test_functional_at_solution(spectral, ex1):
     omega_star = exact_inner_trace(builtin_terms("example1"), spectral.inner_ring)
-    j, _ = evaluate_functional(spectral, omega_star, ex1)
+    j, _ = functional_at(spectral, omega_star, ex1)
     assert j < 1e-12
 
 
 def test_gradient_at_zero(spectral, ex1):
-    _, v = evaluate_functional(spectral, BoundaryFunction.zeros(spectral.inner_ring), ex1)
-    g = gradient(spectral, v, ex1)
+    _, v = functional_at(spectral, BoundaryFunction.zeros(spectral.inner_ring), ex1)
+    g = spectral.solve_adjoint(2.0 * (v - ex1.u_bar))
     th = spectral.inner_ring.angles
     assert_allclose(g.values, -(486.0 / 1681.0) * np.cos(2 * th), atol=1e-12)
 
 
 def test_gradient_of_zero_misfit(spectral, ex1):
-    g = gradient(spectral, ex1.u_bar.copy(), ex1)
+    g = spectral.solve_adjoint(2.0 * (ex1.u_bar.copy() - ex1.u_bar))
     assert np.max(np.abs(g.values)) < 1e-12
-
-
-def test_counters_book_each_solve(spectral, ex1):
-    counters = SolveCounters()
-    _, v = evaluate_functional(spectral, BoundaryFunction.zeros(spectral.inner_ring), ex1, counters)
-    gradient(spectral, v, ex1, counters)
-    assert (counters.primary, counters.adjoint, counters.line_search) == (1, 1, 0)
-    assert counters.total == 2
 
 
 def test_one_step_recovery(spectral, ex1):
@@ -289,50 +280,6 @@ def test_armijo_solves_no_iterate_twice(backend_name, request):
     assert result.final_j == backend.functional(v_trace, data.u_bar)
 
 
-def resolving_armijo(backend, data, stop):
-    """Armijo descent that solves every iterate again after its line search
-    accepted it; returns its J, rho and gradient-norm histories, the last
-    iterate and the number of direct solves."""
-    omega, js, rhos, grad_norms, trials = BoundaryFunction.zeros(backend.inner_ring), [], [], [], 0
-    while True:
-        j_value, v_trace = evaluate_functional(backend, omega, data)
-        js.append(j_value)
-        if j_value < stop.j_tol:
-            return js, rhos, grad_norms, omega, 2 * len(js) - 1 + trials
-        grad = gradient(backend, v_trace, data)
-        grad_norms.append(boundary_norm(grad))
-        rho, spent = armijo_step(
-            lambda beta: evaluate_functional(backend, omega - beta * grad, data)[0],
-            j_value,
-            grad_norms[-1] ** 2,
-        )
-        rhos.append(rho)
-        trials += spent
-        omega = omega - rho * grad
-
-
-@pytest.mark.parametrize("backend_name", ["fem_fine", "spectral_160"])
-@pytest.mark.parametrize(
-    "name, iterations, resolved, solves", [("example1", 16, 49, 33), ("example2", 14, 47, 33)]
-)
-def test_armijo_reuse_is_bit_identical(backend_name, name, iterations, resolved, solves, request):
-    backend = request.getfixturevalue(backend_name)
-    data = cauchy_data(builtin_terms(name), backend.outer_ring)
-    stop = StopRule()
-    js, rhos, grad_norms, omega, reference_solves = resolving_armijo(backend, data, stop)
-    result = run(backend, data, Armijo(), stop)
-    assert result.reason == "j_tol"
-    assert [record.j_value for record in result.history] == js
-    assert [record.rho for record in result.history[:-1]] == rhos
-    assert [record.grad_norm for record in result.history[:-1]] == grad_norms
-    assert np.array_equal(result.omega.values, omega.values)
-    assert (result.iterations, reference_solves, result.counters.total) == (
-        iterations,
-        resolved,
-        solves,
-    )
-
-
 STEP_RULES = [
     Constant(1.0 / 3.0),
     Armijo(),
@@ -340,6 +287,61 @@ STEP_RULES = [
     ModeSweep(0, 2),
     ExplicitSchedule((1681.0 / 486.0,), tail_rho=1.0 / 3.0),
 ]
+
+
+def resolving_run(backend, data, rule, stop):
+    """Descent that asks ``rule.step`` for each step and then solves the
+    new iterate again, whatever its line trials solved; returns its J, rho
+    and gradient-norm histories, the last iterate and the number of direct
+    solves."""
+    omega, js, rhos, grad_norms, trials = BoundaryFunction.zeros(backend.inner_ring), [], [], [], 0
+    while True:
+        j_value, v_trace = functional_at(backend, omega, data)
+        js.append(j_value)
+        if j_value < stop.j_tol:
+            return js, rhos, grad_norms, omega, 2 * len(js) - 1 + trials
+        grad = backend.solve_adjoint(2.0 * (v_trace - data.u_bar))
+        grad_norms.append(boundary_norm(grad))
+
+        def line(beta):
+            nonlocal trials
+            trials += 1
+            return functional_at(backend, omega - beta * grad, data)[0]
+
+        rhos.append(
+            rule.step(len(rhos), line, j_value, grad_norms[-1] ** 2, backend.r_inner, backend.r_outer)
+        )
+        omega = omega - rhos[-1] * grad
+
+
+@pytest.mark.parametrize("backend_name", ["fem_fine", "spectral_160"])
+@pytest.mark.parametrize(
+    "name, iterations, resolved, solves", [("example1", 16, 49, 33), ("example2", 14, 47, 33)]
+)
+def test_armijo_reuse_is_bit_identical(backend_name, name, iterations, resolved, solves, request):
+    """``run`` takes every rule's step through one ``step`` call and reuses
+    a line trial taken at the chosen step (Armijo's accepted one) as the
+    next primary solve; each rule's run matches the re-solving loop bit for
+    bit. The parameters are Armijo's iterations and solve counts."""
+    backend = request.getfixturevalue(backend_name)
+    data = cauchy_data(builtin_terms(name), backend.outer_ring)
+    stop = StopRule()
+    for rule in STEP_RULES:
+        js, rhos, grad_norms, omega, reference_solves = resolving_run(backend, data, rule, stop)
+        result = run(backend, data, rule, stop)
+        assert result.reason == "j_tol"
+        assert [record.j_value for record in result.history] == js
+        assert [record.rho for record in result.history[:-1]] == rhos
+        assert [record.grad_norm for record in result.history[:-1]] == grad_norms
+        assert result.omega.values.tobytes() == omega.values.tobytes()
+        if isinstance(rule, Armijo):
+            assert (result.iterations, reference_solves, result.counters.total) == (
+                iterations,
+                resolved,
+                solves,
+            )
+        else:
+            assert result.counters.total == reference_solves == 2 * result.iterations + 1
 
 
 @pytest.mark.parametrize("backend_name", ["fem_default", "spectral_160"])
@@ -363,7 +365,7 @@ def test_fem_functional_tracks_series_value():
     mesh = generate_mesh(AnnulusSpec(R_IN, R_OUT, 12, 64))
     fem = FemBackend(mesh)
     data = cauchy_data(builtin_terms("example1"), fem.outer_ring)
-    j, _ = evaluate_functional(fem, BoundaryFunction.zeros(fem.inner_ring), data)
+    j, _ = functional_at(fem, BoundaryFunction.zeros(fem.inner_ring), data)
     # coarse mesh, and the misfit comes from cancellation of O(9) traces
     assert abs(j - J_ZERO) / J_ZERO < 0.25
 
@@ -375,13 +377,13 @@ def test_fem_gradient_differentiates_discrete_functional():
     data = cauchy_data(builtin_terms("example2"), fem.outer_ring)
     rng = np.random.default_rng(4)
     omega = BoundaryFunction(fem.inner_ring, 0.5 * rng.standard_normal(48))
-    _, v = evaluate_functional(fem, omega, data)
-    g = gradient(fem, v, data)
+    _, v = functional_at(fem, omega, data)
+    g = fem.solve_adjoint(2.0 * (v - data.u_bar))
     h = 1e-5
     for _ in range(3):
         d = BoundaryFunction(fem.inner_ring, rng.standard_normal(48))
-        jp, _ = evaluate_functional(fem, omega + h * d, data)
-        jm, _ = evaluate_functional(fem, omega - h * d, data)
+        jp, _ = functional_at(fem, omega + h * d, data)
+        jm, _ = functional_at(fem, omega - h * d, data)
         fd = (jp - jm) / (2 * h)
         pred = boundary_inner_product(g, d)
         assert abs(fd - pred) <= 1e-6 * max(abs(fd), 1e-12)
@@ -417,6 +419,9 @@ def test_data_and_stop_validation():
     for max_iters in (2.5, 2.0, True):
         with pytest.raises(ValueError, match="whole number"):
             StopRule(max_iters=max_iters)
+    for max_mode in (2.5, "3", True):
+        with pytest.raises(ValueError, match="whole number"):
+            SpectralBackend(R_IN, R_OUT, n_angular=16, max_mode=max_mode)
 
 
 def test_run_rejects_foreign_start(spectral, ex1, fem_default):

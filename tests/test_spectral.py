@@ -243,6 +243,11 @@ def test_solve_series_radius_validation():
     series = solve_series(np.zeros(3), np.zeros(3), R_IN, R_OUT)
     with pytest.raises(ValueError):
         series.trace(0.5)
+    for mode in (2.5, 2.0, True, "2"):
+        for factor in (trace_factor, gradient_factor):
+            with pytest.raises(ValueError, match="whole number"):
+                factor(mode, R_IN, R_OUT)
+    assert gradient_factor(np.int64(-2), R_IN, R_OUT) == gradient_factor(2, R_IN, R_OUT)
 
 
 def test_gradient_matches_two_solve_composition():

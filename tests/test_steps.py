@@ -183,11 +183,20 @@ def test_strategy_validation():
         OptimalTwoMode(2, 1)
     with pytest.raises(ValueError):
         OptimalTwoMode(-1, 1)
-    for band in ((0, 2.5), (0.0, 2), (False, 2)):
+    for band in ((0, 2.5), (0.0, 2), (False, 2), (True, 2)):
         with pytest.raises(ValueError, match="whole number"):
             OptimalTwoMode(*band)
         with pytest.raises(ValueError, match="whole number"):
             ModeSweep(*band)
+        with pytest.raises(ValueError, match="whole number"):
+            optimal_step(*band, R_IN, R_OUT)
+        with pytest.raises(ValueError, match="whole number"):
+            compression_factor(*band, 0.3, R_IN, R_OUT)
+    for band in ((2, 1), (-1, 1)):
+        with pytest.raises(ValueError):
+            optimal_step(*band, R_IN, R_OUT)
+        with pytest.raises(ValueError):
+            compression_factor(*band, 0.3, R_IN, R_OUT)
     with pytest.raises(ValueError):
         ModeSweep(0, 2, "sideways")
     with pytest.raises(ValueError):
