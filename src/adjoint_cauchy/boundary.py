@@ -3,7 +3,8 @@
 The annulus has two boundary circles. Discretely each one is a regular
 polygon of equispaced nodes, the only rings on which the per-mode theory
 and the ``rfft`` of both backends hold, and a function on a ring is
-stored by nodal value in angle order. Ring quadrature uses the polygon's
+stored by nodal value in angle order. A ring is its side, radius and
+size on both backends; it knows no mesh. Ring quadrature uses the polygon's
 one chord length rather than the arc length, so boundary integrals are
 consistent with the piecewise-linear finite element space whose nodes sit
 on the same polygon.
@@ -38,8 +39,6 @@ class BoundaryRing:
     """Closed ring of ``size`` equispaced boundary nodes, node k at angle
     ``2*pi*k/size``.
 
-    ``node_ids`` holds the global mesh indices of the ring nodes when the
-    ring belongs to a mesh; rings used by the spectral backend carry None.
     ``angles`` and ``chord``, the length of every polygon edge and so the
     lumped quadrature weight of every node, are derived at construction.
     """
@@ -47,7 +46,6 @@ class BoundaryRing:
     side: str
     radius: float
     size: int
-    node_ids: Array | None = None
     angles: Array = field(init=False, repr=False)
     chord: float = field(init=False, repr=False)
 
@@ -62,11 +60,6 @@ class BoundaryRing:
         angles.flags.writeable = False
         object.__setattr__(self, "angles", angles)
         object.__setattr__(self, "chord", 2.0 * self.radius * math.sin(math.pi / self.size))
-        if self.node_ids is not None:
-            ids = np.asarray(self.node_ids, dtype=int)
-            if ids.shape != (self.size,):
-                raise ValueError("node_ids must hold one index per ring node")
-            object.__setattr__(self, "node_ids", ids)
 
 
 def rings_compatible(a: BoundaryRing, b: BoundaryRing) -> bool:

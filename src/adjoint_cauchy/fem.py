@@ -15,6 +15,9 @@ tridiagonal system over the free radius levels per angular mode, which
 ``FourierSolver`` solves once per mesh: the Fourier fast Poisson solver
 (Hockney 1965, Swarztrauber 1977).
 
+A solved field is its ``(n_radial + 1, n_angular)`` array of nodal values
+by level and angular position: row 0 is the inner ring, row -1 the outer.
+
 The outward normal flux on the inner circle is recovered variationally:
 for a discrete solution whose load vanishes at inner-ring nodes, the
 stiffness residual restricted to those nodes equals the ring mass applied
@@ -30,7 +33,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .boundary import BoundaryFunction, BoundaryRing, ring_mass_apply, rings_compatible
+from .boundary import BoundaryFunction, ring_mass_apply, rings_compatible
 from .mesh import QUAD_CORNERS, AnnulusMesh
 
 Array = np.ndarray
@@ -41,7 +44,6 @@ __all__ = [
     "assemble_stiffness",
     "local_stiffness",
     "solve_mixed_bvp",
-    "trace",
     "normal_flux",
 ]
 
@@ -103,8 +105,9 @@ class FourierSolver:
 
     The flux rows are the inner-ring rows of the stiffness divided by the
     ring's chord: ``flux_ids`` of shape ``(n_angular, 6)`` hold, for inner
-    node j, the nodes of levels 0 and 1 at angular positions j - 1, j and
-    j + 1, and ``flux_weights`` the six weights every inner node shares,
+    node j, the positions in a field's flattened rows 0 and 1 of the nodes
+    there at angular positions j - 1, j and j + 1, and
+    ``flux_weights`` the six weights every inner node shares,
     level 0's stencil entries for those nodes divided by the chord, each
     node's lumped ring weight.
     """
@@ -162,14 +165,7 @@ def solve_mixed_bvp(
     field[0] = dirichlet_inner.values  # irfft would not return them bit for bit
     if not np.isfinite(field).all():
         raise SolverError("the mixed solve produced a non-finite field")
-    return field.reshape(-1)
-
-
-def trace(field: Array, ring: BoundaryRing) -> BoundaryFunction:
-    """Restriction of a nodal field to a mesh boundary ring."""
-    if ring.node_ids is None:
-        raise ValueError("trace requires a ring attached to a mesh")
-    return BoundaryFunction(ring, np.asarray(field, dtype=float)[ring.node_ids].copy())
+    return field
 
 
 def normal_flux(field: Array, solver: FourierSolver) -> BoundaryFunction:
@@ -182,5 +178,5 @@ def normal_flux(field: Array, solver: FourierSolver) -> BoundaryFunction:
     is the nodal flux, with the normal pointing out of the annulus
     (toward the origin).
     """
-    values = np.asarray(field, dtype=float)[solver.flux_ids] @ solver.flux_weights
+    values = field[:2].reshape(-1)[solver.flux_ids] @ solver.flux_weights
     return BoundaryFunction(solver.mesh.inner_ring, values)

@@ -46,7 +46,7 @@ from .boundary import (
     ring_mass_apply,
     rings_compatible,
 )
-from .fem import FourierSolver, normal_flux, solve_mixed_bvp, trace
+from .fem import FourierSolver, normal_flux, solve_mixed_bvp
 from .fourier import band_coefficients, band_samples
 from .mesh import AnnulusMesh
 from .spectral import DEFAULT_BAND_CAP, solve_series
@@ -176,6 +176,11 @@ class Backend(Protocol):
     def functional(self, v_trace: BoundaryFunction, u_bar: BoundaryFunction) -> float: ...
 
 
+def _require_ring(f: BoundaryFunction, ring: BoundaryRing) -> None:
+    if not rings_compatible(f.ring, ring):
+        raise ValueError(f"data must live on the backend's {ring.side} ring")
+
+
 class FemBackend:
     """Finite element solves on a fixed annulus mesh.
 
@@ -195,7 +200,8 @@ class FemBackend:
     def solve_primary(
         self, omega: BoundaryFunction, q_bar: BoundaryFunction
     ) -> BoundaryFunction:
-        return trace(solve_mixed_bvp(self.solver, q_bar, omega), self.outer_ring)
+        outer_row = solve_mixed_bvp(self.solver, q_bar, omega)[-1]
+        return BoundaryFunction(self.outer_ring, outer_row.copy())  # keeps no field alive
 
     def solve_adjoint(self, neumann: BoundaryFunction) -> BoundaryFunction:
         """Descent gradient: minus the inner-ring flux of the adjoint field."""
@@ -209,6 +215,8 @@ class FemBackend:
         gradient differentiates exactly this discrete value. An overflow
         gives a non-finite value silently; ``run`` raises on it.
         """
+        _require_ring(v_trace, self.outer_ring)
+        _require_ring(u_bar, self.outer_ring)
         with np.errstate(over="ignore", invalid="ignore"):
             misfit = v_trace.values - u_bar.values
             return float(misfit @ ring_mass_apply(self.outer_ring, misfit))
@@ -251,15 +259,11 @@ class SpectralBackend:
         # gradient = -d/dn on the inner circle = +d/dr there
         self.neumann_gradient = from_neumann.radial_derivative(r_inner)
 
-    def _require_ring(self, f: BoundaryFunction, ring: BoundaryRing) -> None:
-        if not rings_compatible(f.ring, ring):
-            raise ValueError(f"data must live on the backend's {ring.side} ring")
-
     def solve_primary(
         self, omega: BoundaryFunction, q_bar: BoundaryFunction
     ) -> BoundaryFunction:
-        self._require_ring(omega, self.inner_ring)
-        self._require_ring(q_bar, self.outer_ring)
+        _require_ring(omega, self.inner_ring)
+        _require_ring(q_bar, self.outer_ring)
         modes = self.dirichlet_trace * band_coefficients(omega.values, self.max_mode)
         modes += self.neumann_trace * band_coefficients(q_bar.values, self.max_mode)
         return BoundaryFunction(self.outer_ring, band_samples(modes, self.outer_ring.size))
@@ -267,7 +271,7 @@ class SpectralBackend:
     def solve_adjoint(self, neumann: BoundaryFunction) -> BoundaryFunction:
         # the driver 2(v - u_bar) is band-limited up to roundoff noise;
         # unresolvable user data is already diagnosed by solve_primary
-        self._require_ring(neumann, self.outer_ring)
+        _require_ring(neumann, self.outer_ring)
         modes = self.neumann_gradient * band_coefficients(
             neumann.values, self.max_mode, warn_tail=False
         )
@@ -277,8 +281,8 @@ class SpectralBackend:
         """Squared L2 norm over the outer circle of the misfit's band,
         2*pi*R * (|a_0|^2 + 2 * sum_{j >= 1} |a_j|^2). An overflow gives a
         non-finite value silently; ``run`` raises on it."""
-        self._require_ring(v_trace, self.outer_ring)
-        self._require_ring(u_bar, self.outer_ring)
+        _require_ring(v_trace, self.outer_ring)
+        _require_ring(u_bar, self.outer_ring)
         with np.errstate(over="ignore", invalid="ignore"):
             # near convergence the misfit is pure roundoff, so skip the tail warning
             misfit = band_coefficients(

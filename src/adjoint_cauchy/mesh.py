@@ -9,8 +9,8 @@ A mesh stores its ``AnnulusSpec`` and the two boundary rings derived from
 it; node coordinates and triangles are computed when they are read.
 
 Node ``i * n_angular + j`` is the j-th node of radius level i, counted
-from the inner circle, which makes both boundary rings contiguous index
-ranges in angle order.
+from the inner circle. Only ``nodes``, ``triangles`` and the CSV dump use
+this numbering; a solved field is indexed by (level, position).
 """
 
 from __future__ import annotations
@@ -71,11 +71,9 @@ class AnnulusMesh:
     outer_ring: BoundaryRing = field(init=False, repr=False)
 
     def __post_init__(self):
-        nr, na = self.spec.n_radial, self.spec.n_angular
-        inner = BoundaryRing("inner", self.spec.r_inner, na, np.arange(na))
-        outer = BoundaryRing("outer", self.spec.r_outer, na, nr * na + np.arange(na))
-        object.__setattr__(self, "inner_ring", inner)
-        object.__setattr__(self, "outer_ring", outer)
+        spec = self.spec
+        object.__setattr__(self, "inner_ring", BoundaryRing("inner", spec.r_inner, spec.n_angular))
+        object.__setattr__(self, "outer_ring", BoundaryRing("outer", spec.r_outer, spec.n_angular))
 
     @property
     def n_nodes(self) -> int:
@@ -126,19 +124,19 @@ def triangle_areas(mesh: AnnulusMesh) -> Array:
 
 
 def dump_mesh_csv(mesh: AnnulusMesh, directory: str | Path) -> tuple[Path, Path]:
-    """Write ``nodes.csv`` (id, x, y, ring) and ``tris.csv`` (id, n0, n1, n2)."""
+    """Write ``nodes.csv`` (id, x, y, ring) and ``tris.csv`` (id, n0, n1, n2);
+    a node's ring tag is its level's: inner, outer or empty."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    tags = np.full(mesh.n_nodes, "", dtype=object)
-    tags[mesh.inner_ring.node_ids] = "inner"
-    tags[mesh.outer_ring.node_ids] = "outer"
+    level_tags = ["inner"] + [""] * (mesh.spec.n_radial - 1) + ["outer"]
 
     nodes_path = directory / "nodes.csv"
     with nodes_path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id", "x", "y", "ring"])
         for idx, (x, y) in enumerate(mesh.nodes):
-            writer.writerow([idx, format(x, ".17g"), format(y, ".17g"), tags[idx]])
+            tag = level_tags[idx // mesh.spec.n_angular]
+            writer.writerow([idx, format(x, ".17g"), format(y, ".17g"), tag])
 
     tris_path = directory / "tris.csv"
     with tris_path.open("w", newline="") as fh:

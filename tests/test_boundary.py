@@ -20,7 +20,6 @@ def test_ring_angles_are_equispaced():
     ring = BoundaryRing("inner", 1.0, 4)
     assert ring.size == 4
     assert_allclose(ring.angles, [0.0, np.pi / 2, np.pi, 3 * np.pi / 2])
-    assert ring.node_ids is None
     with pytest.raises(ValueError):
         ring.angles[0] = 1.0  # derived from the size, so read-only
 
@@ -37,16 +36,11 @@ def test_ring_validation():
     for radius in (0.0, -1.0, math.nan):
         with pytest.raises(ValueError, match="radius"):
             BoundaryRing("inner", radius, 8)
-    for node_ids in (np.arange(7), np.arange(9), np.arange(8).reshape(2, 4)):
-        with pytest.raises(ValueError, match="node_ids"):
-            BoundaryRing("inner", 1.0, 8, node_ids)
-    assert BoundaryRing("inner", 1.0, 8, range(8)).node_ids.tolist() == list(range(8))
 
 
 def test_rings_compatible():
     a = BoundaryRing("inner", 1.0, 8)
     assert rings_compatible(a, BoundaryRing("inner", 1.0, 8))
-    assert rings_compatible(a, BoundaryRing("inner", 1.0, 8, np.arange(8)))
     assert not rings_compatible(a, BoundaryRing("outer", 1.0, 8))
     assert not rings_compatible(a, BoundaryRing("inner", 2.0, 8))
     assert not rings_compatible(a, BoundaryRing("inner", 1.0, 16))

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +29,9 @@ BASE = {
     "strategy": {"kind": "schedule", "rhos": ["1681/486"], "tail_rho": "1/3"},
     "stop": {"j_tol": 1e-5, "grad_eps": 1e-12, "max_iters": 50},
 }
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def write_config(tmp_path, cfg, name="config.json"):
@@ -410,6 +414,30 @@ def test_mesh_info(tmp_path, capsys):
     assert "24" in out and "32" in out
     assert (tmp_path / "m" / "nodes.csv").exists()
     assert (tmp_path / "m" / "tris.csv").exists()
+
+
+@pytest.mark.parametrize("config", sorted(CONFIGS.glob("*.json")), ids=lambda path: path.stem)
+def test_shipped_config_runs(config, tmp_path, capsys):
+    """Each shipped config runs as the CI workflow's step runs it, by the
+    command its name selects, and dumps its mesh; every output goes under
+    ``tmp_path``."""
+    out = tmp_path / config.stem
+    if config.stem == "oracle_check":
+        assert main(["oracle-check", str(config)]) == 0
+        assert "oracle check passed" in capsys.readouterr().out
+        return
+    if config.stem.endswith("_compare"):
+        assert main(["compare", str(config), "--out", str(out)]) == 0
+        strategies = json.loads(config.read_text())["strategies"]
+        labels = [f"{i:02d}_{spec['kind']}" for i, spec in enumerate(strategies)]
+        want = {"compare.csv", *(f"history_{label}.csv" for label in labels)}
+    else:
+        assert main(["run", str(config), "--out", str(out)]) == 0
+        assert json.loads((out / "summary.json").read_text())["converged"] is True
+        want = {"history.csv", "omega_final.csv", "summary.json"}
+    assert {path.name for path in out.iterdir()} == want
+    assert main(["mesh-info", str(config), "--dump", str(tmp_path / "mesh")]) == 0
+    assert {path.name for path in (tmp_path / "mesh").iterdir()} == {"nodes.csv", "tris.csv"}
 
 
 def test_usage_errors_exit_one(capsys):

@@ -1,4 +1,4 @@
-"""P1 assembly, mixed solves, traces, and boundary flux recovery."""
+"""P1 assembly, mixed solves, their (level, position) fields, and boundary flux recovery."""
 
 import subprocess
 import sys
@@ -27,13 +27,15 @@ from adjoint_cauchy.fem import (
     local_stiffness,
     normal_flux,
     solve_mixed_bvp,
-    trace,
 )
 
 
 def sparse_stiffness(mesh):
     """Reference global stiffness: every triangle's local block scattered
-    into a sparse matrix, with no use of the mesh's structure."""
+    into a sparse matrix, with no use of the mesh's structure. It acts on a
+    field flattened to global node ids, ``field.reshape(-1)``, whose inner
+    ring is ids ``0..n_angular - 1`` and outer ring the last
+    ``n_angular``."""
     triangles = mesh.triangles
     x, y = np.moveaxis(mesh.nodes[triangles.T], 2, 0)
     rows = np.repeat(triangles, 3, axis=1).ravel()
@@ -101,9 +103,9 @@ def test_every_row_equals_its_level_stencil(n_radial, n_angular):
 
 def test_flux_rows_are_the_inner_rows_over_lumped_weights():
     mesh = generate_mesh(AnnulusSpec(1.0, 3.0, 3, 16))
-    field = np.random.default_rng(3).standard_normal(mesh.n_nodes)
+    field = np.random.default_rng(3).standard_normal((4, 16))
     ring = mesh.inner_ring
-    want = (sparse_stiffness(mesh)[ring.node_ids] @ field) / ring.chord
+    want = (sparse_stiffness(mesh)[:16] @ field.reshape(-1)) / ring.chord
     got = normal_flux(field, FourierSolver(mesh))
     assert np.abs(got.values - want).max() <= 1e-13 * np.abs(want).max()
 
@@ -153,7 +155,7 @@ def test_solve_reproduces_quadratic_harmonic(default_mesh):
     q = BoundaryFunction(mesh.outer_ring, 6 * np.cos(2 * mesh.outer_ring.angles))
     w = BoundaryFunction(mesh.inner_ring, np.cos(2 * mesh.inner_ring.angles))
     v = solve_mixed_bvp(FourierSolver(mesh), q, w)
-    got = trace(v, mesh.outer_ring)
+    got = BoundaryFunction(mesh.outer_ring, v[-1])
     want = BoundaryFunction(mesh.outer_ring, 9 * np.cos(2 * mesh.outer_ring.angles))
     assert boundary_norm(got - want) / boundary_norm(want) < 0.01
 
@@ -163,28 +165,29 @@ def test_solve_single_mode_trace_damping(default_mesh):
     mesh = default_mesh
     w = BoundaryFunction(mesh.inner_ring, np.cos(2 * mesh.inner_ring.angles))
     v = solve_mixed_bvp(FourierSolver(mesh), BoundaryFunction.zeros(mesh.outer_ring), w)
-    got = trace(v, mesh.outer_ring)
+    got = BoundaryFunction(mesh.outer_ring, v[-1])
     want = BoundaryFunction(mesh.outer_ring, (9.0 / 41.0) * np.cos(2 * mesh.outer_ring.angles))
     assert boundary_norm(got - want) / boundary_norm(want) < 0.01
 
 
-def test_trace_extracts_ring_values(default_mesh):
+def test_trace_extracts_ring_values(default_mesh, fem_default):
+    """A field is its (level, position) array: row 0 is the inner ring and
+    row -1 the outer one, and the backend's trace is a copy of row -1."""
     mesh = default_mesh
-    field = np.full(mesh.n_nodes, 3.25)
-    assert_allclose(trace(field, mesh.inner_ring).values, 3.25)
+    omega = BoundaryFunction(mesh.inner_ring, np.cos(3 * mesh.inner_ring.angles) + 0.5)
+    q = BoundaryFunction(mesh.outer_ring, np.sin(mesh.outer_ring.angles))
+    v = solve_mixed_bvp(fem_default.solver, q, omega)
+    assert v.shape == (mesh.spec.n_radial + 1, mesh.spec.n_angular)
     # Dirichlet values are pinned exactly, not approximately
-    v = solve_mixed_bvp(
-        FourierSolver(mesh),
-        BoundaryFunction.zeros(mesh.outer_ring),
-        BoundaryFunction(mesh.inner_ring, np.ones(mesh.inner_ring.size)),
-    )
-    assert np.array_equal(trace(v, mesh.inner_ring).values, np.ones(mesh.inner_ring.size))
-    with pytest.raises(ValueError):
-        trace(field, BoundaryRing("inner", 1.0, mesh.inner_ring.size))
+    assert np.array_equal(v[0], omega.values)
+    got = fem_default.solve_primary(omega, q)
+    assert np.array_equal(got.values, v[-1])
+    # an owned array: the trace keeps no field alive
+    assert got.values.base is None
 
 
 def test_normal_flux_constant_field(default_mesh):
-    flux = normal_flux(np.ones(default_mesh.n_nodes), FourierSolver(default_mesh))
+    flux = normal_flux(np.ones((28, 160)), FourierSolver(default_mesh))
     assert np.max(np.abs(flux.values)) < 1e-10
 
 
@@ -207,7 +210,7 @@ def test_adjoint_flux_recovers_descent_direction(default_mesh):
     solver = FourierSolver(mesh)
     zero_inner = BoundaryFunction.zeros(mesh.inner_ring)
     v = solve_mixed_bvp(solver, data.q_bar, zero_inner)
-    misfit = trace(v, mesh.outer_ring) - data.u_bar
+    misfit = BoundaryFunction(mesh.outer_ring, v[-1]) - data.u_bar
     vhat = solve_mixed_bvp(solver, 2.0 * misfit, zero_inner)
     flux = normal_flux(vhat, solver)
     want = BoundaryFunction(mesh.inner_ring, (486.0 / 1681.0) * np.cos(2 * mesh.inner_ring.angles))
@@ -245,14 +248,14 @@ def test_solve_matches_sparse_direct_solve(n_radial, n_angular):
     rng = np.random.default_rng(n_radial * 100 + n_angular)
     q = BoundaryFunction(mesh.outer_ring, rng.standard_normal(n_angular))
     w = BoundaryFunction(mesh.inner_ring, rng.standard_normal(n_angular))
-    got = solve_mixed_bvp(FourierSolver(mesh), q, w)
+    got = solve_mixed_bvp(FourierSolver(mesh), q, w).reshape(-1)
 
     k = sparse_stiffness(mesh)
-    fixed = mesh.inner_ring.node_ids
+    fixed = np.arange(n_angular)
     free = np.ones(mesh.n_nodes, dtype=bool)
     free[fixed] = False
     load = np.zeros(mesh.n_nodes)
-    load[mesh.outer_ring.node_ids] = ring_mass_apply(mesh.outer_ring, q.values)
+    load[-n_angular:] = ring_mass_apply(mesh.outer_ring, q.values)
     rhs = load[free] - k[free][:, fixed] @ w.values
     want = spsolve(k[free][:, free].tocsc(), rhs)
     assert np.linalg.norm(got[free] - want) <= 1e-12 * np.linalg.norm(want)
@@ -270,8 +273,8 @@ def test_dirichlet_values_exact_through_backend(monkeypatch):
     omega = BoundaryFunction(backend.inner_ring, np.random.default_rng(5).standard_normal(24))
     backend.solve_primary(omega, BoundaryFunction.zeros(backend.outer_ring))
     backend.solve_adjoint(BoundaryFunction(backend.outer_ring, np.ones(24)))
-    assert np.array_equal(trace(fields[0], backend.inner_ring).values, omega.values)
-    assert np.all(trace(fields[1], backend.inner_ring).values == 0.0)
+    assert np.array_equal(fields[0][0], omega.values)
+    assert np.all(fields[1][0] == 0.0)
 
 
 def test_non_finite_data_raises_solver_error():

@@ -516,19 +516,35 @@ def test_prepared_spectral_tail_warning():
         backend.functional(tail_out, band_out)
 
 
+def _foreign_to_outer(backend):
+    """Data on the backend's inner ring and on two outer rings it does not have."""
+    outer = backend.outer_ring
+    return (
+        BoundaryFunction.zeros(BoundaryRing("outer", R_OUT, 2 * outer.size)),
+        BoundaryFunction.zeros(BoundaryRing("outer", 2.0 * R_OUT, outer.size)),
+        BoundaryFunction.zeros(backend.inner_ring),
+    )
+
+
 def test_prepared_spectral_rejects_foreign_rings(spectral):
-    inner, outer = spectral.inner_ring, spectral.outer_ring
-    on_inner, on_outer = BoundaryFunction.zeros(inner), BoundaryFunction.zeros(outer)
-    other = BoundaryFunction.zeros(BoundaryRing("outer", R_OUT, 2 * outer.size))
-    shifted = BoundaryFunction.zeros(BoundaryRing("outer", 2.0 * R_OUT, outer.size))
-    for foreign in (other, shifted, on_inner):
+    on_inner = BoundaryFunction.zeros(spectral.inner_ring)
+    on_outer = BoundaryFunction.zeros(spectral.outer_ring)
+    for foreign in _foreign_to_outer(spectral):
         with pytest.raises(ValueError):
             spectral.solve_primary(on_inner, foreign)
         with pytest.raises(ValueError):
             spectral.solve_adjoint(foreign)
-        with pytest.raises(ValueError):
-            spectral.functional(foreign, on_outer)
-        with pytest.raises(ValueError):
-            spectral.functional(on_outer, foreign)
     with pytest.raises(ValueError):
         spectral.solve_primary(on_outer, on_outer)
+
+
+@pytest.mark.parametrize("backend_name", ["spectral", "fem_default"])
+def test_functional_rejects_foreign_rings(backend_name, request):
+    """Both backends measure a misfit on their own outer ring only."""
+    backend = request.getfixturevalue(backend_name)
+    on_outer = BoundaryFunction.zeros(backend.outer_ring)
+    for foreign in _foreign_to_outer(backend):
+        with pytest.raises(ValueError):
+            backend.functional(foreign, on_outer)
+        with pytest.raises(ValueError):
+            backend.functional(on_outer, foreign)

@@ -55,8 +55,9 @@ def test_boundary_rings():
 
 def test_boundary_nodes_sit_on_circles():
     mesh = generate_mesh(AnnulusSpec(1.0, 3.0, 5, 32))
-    for ring in (mesh.inner_ring, mesh.outer_ring):
-        xy = mesh.nodes[ring.node_ids]
+    levels = mesh.nodes.reshape(6, 32, 2)
+    for ring, xy in ((mesh.inner_ring, levels[0]), (mesh.outer_ring, levels[-1])):
+        assert_allclose(np.arctan2(xy[:, 1], xy[:, 0]) % (2 * np.pi), ring.angles, atol=1e-12)
         r = np.hypot(xy[:, 0], xy[:, 1])
         assert np.max(np.abs(r - ring.radius)) <= 1e-12 * ring.radius
         assert np.all(np.diff(ring.angles) > 0)
@@ -110,5 +111,8 @@ def test_dump_csv(tmp_path):
     assert tris[0] == "id,n0,n1,n2"
     assert len(nodes) == 1 + mesh.n_nodes
     assert len(tris) == 1 + mesh.n_triangles
-    assert nodes[1].endswith("inner")
-    assert nodes[-1].endswith("outer")
+    assert [line.split(",")[3] for line in nodes[1:]] == ["inner"] * 4 + ["outer"] * 4
+    # a ring tag is its level's; levels between the rings carry none
+    nodes_path, _ = dump_mesh_csv(generate_mesh(AnnulusSpec(1.0, 3.0, 2, 4)), tmp_path / "two")
+    tags = [line.split(",")[3] for line in nodes_path.read_text().strip().splitlines()[1:]]
+    assert tags == ["inner"] * 4 + [""] * 4 + ["outer"] * 4
