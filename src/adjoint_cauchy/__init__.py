@@ -12,24 +12,16 @@ path is verified against.
 The package exports what a descent run needs: a backend, Cauchy data, a
 step rule, a stop rule, ``run`` and its errors, and the step theory
 ``gradient_factor`` and ``optimal_step``. Everything else is imported from
-its module: ``mesh``, ``boundary``, ``fem``, ``fourier``, ``spectral``,
+its module: ``mesh``, ``boundary``, ``fem``, ``spectral``,
 ``problems``, ``steps``, ``iteration`` and ``cli``.
 """
 
 from .boundary import BoundaryFunction
-from .fem import SolverError
-from .iteration import (
-    CauchyData,
-    DivergenceError,
-    FemBackend,
-    RunResult,
-    SpectralBackend,
-    StopRule,
-    run,
-)
+from .fem import FemBackend, SolverError
+from .iteration import CauchyData, DivergenceError, RunResult, StopRule, run
 from .mesh import AnnulusSpec, generate_mesh
 from .problems import HarmonicTerm, builtin_terms, cauchy_data, exact_inner_trace
-from .spectral import gradient_factor
+from .spectral import SpectralBackend, gradient_factor
 from .steps import (
     Armijo,
     Constant,

@@ -4,10 +4,11 @@ The annulus has two boundary circles. Discretely each one is a regular
 polygon of equispaced nodes, the only rings on which the per-mode theory
 and the ``rfft`` of both backends hold, and a function on a ring is
 stored by nodal value in angle order. A ring is its side, radius and
-size on both backends; it knows no mesh. Ring quadrature uses the polygon's
-one chord length rather than the arc length, so boundary integrals are
-consistent with the piecewise-linear finite element space whose nodes sit
-on the same polygon.
+size on both backends; it knows no mesh. ``_require_ring`` is the one
+check both backends make that data live on their rings. Ring quadrature
+uses the polygon's one chord length rather than the arc length, so
+boundary integrals are consistent with the piecewise-linear finite
+element space whose nodes sit on the same polygon.
 """
 
 from __future__ import annotations
@@ -106,6 +107,12 @@ class BoundaryFunction:
 
     def __neg__(self) -> BoundaryFunction:
         return BoundaryFunction(self.ring, -self.values)
+
+
+def _require_ring(f: BoundaryFunction, ring: BoundaryRing) -> None:
+    """The ring check of both backends: ``f`` must live on ``ring``."""
+    if not rings_compatible(f.ring, ring):
+        raise ValueError(f"data must live on the backend's {ring.side} ring")
 
 
 def ring_mass_apply(ring: BoundaryRing, values: Array) -> Array:

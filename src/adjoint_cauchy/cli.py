@@ -32,19 +32,11 @@ from typing import Any, Callable
 import numpy as np
 
 from .boundary import BoundaryFunction
-from .fem import SolverError
-from .iteration import (
-    DivergenceError,
-    FemBackend,
-    RunResult,
-    SpectralBackend,
-    StopRule,
-    run,
-    write_history_csv,
-)
+from .fem import FemBackend, SolverError
+from .iteration import DivergenceError, RunResult, StopRule, run, write_history_csv
 from .mesh import AnnulusSpec, dump_mesh_csv, generate_mesh, triangle_areas
 from .problems import HarmonicTerm, builtin_terms, cauchy_data, exact_inner_trace
-from .spectral import gradient_factor, trace_factor
+from .spectral import SpectralBackend, gradient_factor, trace_factor
 from .steps import (
     Armijo,
     Constant,

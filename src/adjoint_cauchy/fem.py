@@ -12,8 +12,11 @@ rotation; no global matrix is formed. The mixed boundary value problem
 carries Neumann data on the outer circle and Dirichlet data on the inner
 one. An FFT in angle splits the Dirichlet-reduced system into one
 tridiagonal system over the free radius levels per angular mode, which
-``FourierSolver`` solves once per mesh: the Fourier fast Poisson solver
-(Hockney 1965, Swarztrauber 1977).
+``FemBackend`` solves once per mesh, at construction: the Fourier fast
+Poisson solver (Hockney 1965, Swarztrauber 1977). ``FemBackend`` is the
+finite element backend of the descent loop and this module's one
+preparation; ``solve_mixed_bvp`` and ``normal_flux`` take it and serve as
+the reference its solves are tested against.
 
 A solved field is its ``(n_radial + 1, n_angular)`` array of nodal values
 by level and angular position: row 0 is the inner ring, row -1 the outer.
@@ -23,29 +26,36 @@ for a discrete solution whose load vanishes at inner-ring nodes, the
 stiffness residual restricted to those nodes equals the ring mass applied
 to the flux, so dividing by the lumped ring weight, which on the regular
 ring polygon is its one chord length, gives nodal flux values; those rows
-are the other half of ``FourierSolver``'s preparation. Together
+are the other half of ``FemBackend``'s preparation. Together
 with the matching boundary quadratures used for the Neumann load and the
 misfit functional, this makes the adjoint gradient of the discrete
 functional exact up to rounding.
+
+``SolverError`` is raised by ``solve_mixed_bvp`` on a field that is not
+finite, as non-finite data give. ``run`` checks its own iterates and
+raises ``DivergenceError`` when they overflow, so inside a run it comes
+only from a given start or Cauchy data that are finite but too large to
+solve (of order 1e300 or more).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .boundary import BoundaryFunction, ring_mass_apply, rings_compatible
+from .boundary import BoundaryFunction, _require_ring, ring_mass_apply
 from .mesh import QUAD_CORNERS, AnnulusMesh
 
 Array = np.ndarray
 
 __all__ = [
-    "FourierSolver",
+    "FemBackend",
     "SolverError",
     "assemble_stiffness",
     "local_stiffness",
     "solve_mixed_bvp",
     "normal_flux",
 ]
+
 
 class SolverError(RuntimeError):
     """A mixed solve produced a non-finite field, as non-finite data do."""
@@ -93,9 +103,13 @@ def assemble_stiffness(mesh: AnnulusMesh) -> Array:
     return stencils
 
 
-class FourierSolver:
-    """The one preparation of a mesh's solves: per-mode responses of the
-    Dirichlet-reduced stiffness and the inner-ring flux rows.
+class FemBackend:
+    """Finite element solves on a fixed annulus mesh, prepared once per mesh.
+
+    Construction assembles the stencils once and keeps the per-mode
+    responses of the Dirichlet-reduced stiffness and the inner-ring flux
+    rows; nothing is written after that, so instances are safe to share
+    between concurrent runs.
 
     Data enter that system at two levels only, so per angular mode a
     solution is ``dirichlet_response`` times the Dirichlet data plus
@@ -137,30 +151,53 @@ class FourierSolver:
         positions = (np.arange(n_angular)[:, None] + np.arange(-1, 2)) % n_angular
         self.flux_ids = np.hstack((positions, positions + n_angular))
         self.flux_weights = stencils[0, 1:].ravel() / mesh.inner_ring.chord
-        self.mesh = mesh
+        self.inner_ring = mesh.inner_ring
+        self.outer_ring = mesh.outer_ring
+        self.r_inner = mesh.spec.r_inner
+        self.r_outer = mesh.spec.r_outer
+
+    def solve_primary(
+        self, omega: BoundaryFunction, q_bar: BoundaryFunction
+    ) -> BoundaryFunction:
+        outer_row = solve_mixed_bvp(self, q_bar, omega)[-1]
+        return BoundaryFunction(self.outer_ring, outer_row.copy())  # keeps no field alive
+
+    def solve_adjoint(self, neumann: BoundaryFunction) -> BoundaryFunction:
+        """Descent gradient: minus the inner-ring flux of the adjoint field."""
+        field_ = solve_mixed_bvp(self, neumann, BoundaryFunction.zeros(self.inner_ring))
+        return BoundaryFunction(self.inner_ring, -normal_flux(field_, self).values)
+
+    def functional(self, v_trace: BoundaryFunction, u_bar: BoundaryFunction) -> float:
+        """Piecewise-linear boundary quadrature of |v - u_bar|^2.
+
+        Uses the same ring mass as the Neumann load, so the adjoint
+        gradient differentiates exactly this discrete value. An overflow
+        gives a non-finite value, on which ``run`` raises.
+        """
+        _require_ring(v_trace, self.outer_ring)
+        _require_ring(u_bar, self.outer_ring)
+        misfit = v_trace.values - u_bar.values
+        return float(misfit @ ring_mass_apply(self.outer_ring, misfit))
 
 
 def solve_mixed_bvp(
-    solver: FourierSolver,
+    backend: FemBackend,
     neumann_outer: BoundaryFunction,
     dirichlet_inner: BoundaryFunction,
 ) -> Array:
-    """Nodal solution on ``solver``'s mesh of the Laplace problem with outer
-    Neumann data and inner Dirichlet data, exact up to rounding.
+    """Nodal solution on ``backend``'s mesh of the Laplace problem with
+    outer Neumann data and inner Dirichlet data, exact up to rounding.
 
     Raises ``SolverError`` on a non-finite field.
     """
-    mesh = solver.mesh
-    if not rings_compatible(neumann_outer.ring, mesh.outer_ring):
-        raise ValueError("Neumann data must live on the mesh's outer ring")
-    if not rings_compatible(dirichlet_inner.ring, mesh.inner_ring):
-        raise ValueError("Dirichlet data must live on the mesh's inner ring")
-    load = ring_mass_apply(mesh.outer_ring, neumann_outer.values)
-    modes = solver.dirichlet_response * np.fft.rfft(dirichlet_inner.values)
-    modes += solver.neumann_response * np.fft.rfft(load)
+    _require_ring(neumann_outer, backend.outer_ring)
+    _require_ring(dirichlet_inner, backend.inner_ring)
+    load = ring_mass_apply(backend.outer_ring, neumann_outer.values)
+    modes = backend.dirichlet_response * np.fft.rfft(dirichlet_inner.values)
+    modes += backend.neumann_response * np.fft.rfft(load)
 
-    n_angular = mesh.spec.n_angular
-    field = np.empty((mesh.spec.n_radial + 1, n_angular))
+    n_angular = backend.inner_ring.size
+    field = np.empty((len(modes) + 1, n_angular))  # the inner ring and one row per free level
     field[1:] = np.fft.irfft(modes, n=n_angular, axis=1)
     field[0] = dirichlet_inner.values  # irfft would not return them bit for bit
     if not np.isfinite(field).all():
@@ -168,9 +205,9 @@ def solve_mixed_bvp(
     return field
 
 
-def normal_flux(field: Array, solver: FourierSolver) -> BoundaryFunction:
+def normal_flux(field: Array, backend: FemBackend) -> BoundaryFunction:
     """Outward normal derivative on the inner ring of a solution on
-    ``solver``'s mesh.
+    ``backend``'s mesh.
 
     Valid for fields produced by ``solve_mixed_bvp``: their load vanishes
     at inner-ring nodes, so the stiffness residual there is the ring mass
@@ -178,5 +215,5 @@ def normal_flux(field: Array, solver: FourierSolver) -> BoundaryFunction:
     is the nodal flux, with the normal pointing out of the annulus
     (toward the origin).
     """
-    values = field[:2].reshape(-1)[solver.flux_ids] @ solver.flux_weights
-    return BoundaryFunction(solver.mesh.inner_ring, values)
+    values = field[:2].reshape(-1)[backend.flux_ids] @ backend.flux_weights
+    return BoundaryFunction(backend.inner_ring, values)

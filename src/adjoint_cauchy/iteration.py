@@ -7,14 +7,10 @@ guess against the recovered gradient:
 
     omega_{k+1} = omega_k - rho_k * grad_k .
 
-Both backends expose the same three operations and prepare a per-mode
-response once, at construction, so that each solve is an ``rfft``, a
-product per mode and an ``irfft``. The finite element one works on a mesh
-and reads its responses off the stiffness stencils; the spectral one takes
-them from the closed-form series solution as arrays of modes 0..M in
-``rfft`` layout, for the three maps it needs (Dirichlet data to outer
-trace, Neumann data to outer trace, Neumann data to the gradient on the
-inner circle), and is exact up to the analysis band.
+The loop knows a discretisation only through the ``Backend`` protocol:
+two rings, two radii and three operations. The backends live with their
+discretisations, ``fem.FemBackend`` and ``spectral.SpectralBackend``, and
+this module imports neither.
 Each iteration costs exactly one primary and one adjoint solve, so a run
 of k iterations books k + 1 primary and k adjoint solves; line-search
 trials are counted separately so solver budgets of different step
@@ -33,23 +29,12 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Protocol, runtime_checkable
+from typing import Protocol
 
 import numpy as np
 
 from . import steps as step_rules
-from .boundary import (
-    BoundaryFunction,
-    BoundaryRing,
-    boundary_norm,
-    is_count,
-    ring_mass_apply,
-    rings_compatible,
-)
-from .fem import FourierSolver, normal_flux, solve_mixed_bvp
-from .fourier import band_coefficients, band_samples
-from .mesh import AnnulusMesh
-from .spectral import DEFAULT_BAND_CAP, solve_series
+from .boundary import BoundaryFunction, BoundaryRing, boundary_norm, is_count, rings_compatible
 
 __all__ = [
     "CauchyData",
@@ -58,8 +43,6 @@ __all__ = [
     "StopRule",
     "RunResult",
     "DivergenceError",
-    "FemBackend",
-    "SpectralBackend",
     "run",
     "write_history_csv",
 ]
@@ -160,8 +143,16 @@ class RunResult:
         return self.history[-1].j_value
 
 
-@runtime_checkable
 class Backend(Protocol):
+    """What ``run`` needs of a discretisation.
+
+    ``solve_primary`` maps an inner Dirichlet trace and the outer Neumann
+    data to the outer trace, ``solve_adjoint`` maps outer Neumann data to
+    the descent gradient on the inner ring, and ``functional`` measures a
+    misfit on the outer ring. Each checks that its data live on the
+    backend's rings.
+    """
+
     r_inner: float
     r_outer: float
     inner_ring: BoundaryRing
@@ -176,122 +167,9 @@ class Backend(Protocol):
     def functional(self, v_trace: BoundaryFunction, u_bar: BoundaryFunction) -> float: ...
 
 
-def _require_ring(f: BoundaryFunction, ring: BoundaryRing) -> None:
-    if not rings_compatible(f.ring, ring):
-        raise ValueError(f"data must live on the backend's {ring.side} ring")
-
-
-class FemBackend:
-    """Finite element solves on a fixed annulus mesh.
-
-    The ``FourierSolver``, which holds the per-mode responses and the
-    inner-ring flux rows, is prepared once, at construction; everything
-    else is recomputed per call, so instances are safe to share between
-    concurrent runs.
-    """
-
-    def __init__(self, mesh: AnnulusMesh):
-        self.solver = FourierSolver(mesh)
-        self.inner_ring = mesh.inner_ring
-        self.outer_ring = mesh.outer_ring
-        self.r_inner = mesh.spec.r_inner
-        self.r_outer = mesh.spec.r_outer
-
-    def solve_primary(
-        self, omega: BoundaryFunction, q_bar: BoundaryFunction
-    ) -> BoundaryFunction:
-        outer_row = solve_mixed_bvp(self.solver, q_bar, omega)[-1]
-        return BoundaryFunction(self.outer_ring, outer_row.copy())  # keeps no field alive
-
-    def solve_adjoint(self, neumann: BoundaryFunction) -> BoundaryFunction:
-        """Descent gradient: minus the inner-ring flux of the adjoint field."""
-        field_ = solve_mixed_bvp(self.solver, neumann, BoundaryFunction.zeros(self.inner_ring))
-        return BoundaryFunction(self.inner_ring, -normal_flux(field_, self.solver).values)
-
-    def functional(self, v_trace: BoundaryFunction, u_bar: BoundaryFunction) -> float:
-        """Piecewise-linear boundary quadrature of |v - u_bar|^2.
-
-        Uses the same ring mass as the Neumann load, so the adjoint
-        gradient differentiates exactly this discrete value. An overflow
-        gives a non-finite value silently; ``run`` raises on it.
-        """
-        _require_ring(v_trace, self.outer_ring)
-        _require_ring(u_bar, self.outer_ring)
-        with np.errstate(over="ignore", invalid="ignore"):
-            misfit = v_trace.values - u_bar.values
-            return float(misfit @ ring_mass_apply(self.outer_ring, misfit))
-
-
-class SpectralBackend:
-    """Fourier-space solves on nominal rings of equispaced nodes.
-
-    At construction, ``solve_series`` is run once on unit coefficients to
-    get, for modes ``0..max_mode`` in ``rfft`` layout, the outer trace of
-    unit Dirichlet data (``dirichlet_trace``) and of unit Neumann data
-    (``neumann_trace``), and the inner radial derivative of unit Neumann
-    data (``neumann_gradient``). A solve is then a product per mode between
-    ``band_coefficients`` and ``band_samples``. Data must live on the
-    backend's own rings.
-    """
-
-    def __init__(
-        self,
-        r_inner: float,
-        r_outer: float,
-        n_angular: int = 160,
-        max_mode: int = DEFAULT_BAND_CAP,
-    ):
-        if not (0.0 < r_inner < r_outer):
-            raise ValueError("radii must satisfy 0 < r_inner < r_outer")
-        if not is_count(max_mode) or max_mode < 0:
-            raise ValueError(f"max_mode must be a whole number >= 0, got {max_mode!r}")
-        self.r_inner = r_inner
-        self.r_outer = r_outer
-        self.max_mode = min(max_mode, (n_angular - 1) // 2)
-        self.inner_ring = BoundaryRing("inner", r_inner, n_angular)
-        self.outer_ring = BoundaryRing("outer", r_outer, n_angular)
-
-        ones, zeros = np.ones(self.max_mode + 1), np.zeros(self.max_mode + 1)
-        from_dirichlet = solve_series(zeros, ones, r_inner, r_outer)
-        from_neumann = solve_series(ones, zeros, r_inner, r_outer)
-        self.dirichlet_trace = from_dirichlet.trace(r_outer)
-        self.neumann_trace = from_neumann.trace(r_outer)
-        # gradient = -d/dn on the inner circle = +d/dr there
-        self.neumann_gradient = from_neumann.radial_derivative(r_inner)
-
-    def solve_primary(
-        self, omega: BoundaryFunction, q_bar: BoundaryFunction
-    ) -> BoundaryFunction:
-        _require_ring(omega, self.inner_ring)
-        _require_ring(q_bar, self.outer_ring)
-        modes = self.dirichlet_trace * band_coefficients(omega.values, self.max_mode)
-        modes += self.neumann_trace * band_coefficients(q_bar.values, self.max_mode)
-        return BoundaryFunction(self.outer_ring, band_samples(modes, self.outer_ring.size))
-
-    def solve_adjoint(self, neumann: BoundaryFunction) -> BoundaryFunction:
-        # the driver 2(v - u_bar) is band-limited up to roundoff noise;
-        # unresolvable user data is already diagnosed by solve_primary
-        _require_ring(neumann, self.outer_ring)
-        modes = self.neumann_gradient * band_coefficients(
-            neumann.values, self.max_mode, warn_tail=False
-        )
-        return BoundaryFunction(self.inner_ring, band_samples(modes, self.inner_ring.size))
-
-    def functional(self, v_trace: BoundaryFunction, u_bar: BoundaryFunction) -> float:
-        """Squared L2 norm over the outer circle of the misfit's band,
-        2*pi*R * (|a_0|^2 + 2 * sum_{j >= 1} |a_j|^2). An overflow gives a
-        non-finite value silently; ``run`` raises on it."""
-        _require_ring(v_trace, self.outer_ring)
-        _require_ring(u_bar, self.outer_ring)
-        with np.errstate(over="ignore", invalid="ignore"):
-            # near convergence the misfit is pure roundoff, so skip the tail warning
-            misfit = band_coefficients(
-                v_trace.values - u_bar.values, self.max_mode, warn_tail=False
-            )
-            power = np.abs(misfit) ** 2
-            return float(2.0 * math.pi * self.r_outer * (power[0] + 2.0 * power[1:].sum()))
-
-
+# an overflow in a run gives a non-finite value, which ``run`` checks for;
+# numpy's warning would only repeat it
+@np.errstate(over="ignore", invalid="ignore")
 def run(
     backend: Backend,
     data: CauchyData,
@@ -305,9 +183,10 @@ def run(
     Every iterate gets one history record with cumulative solve counts;
     the terminal record carries NaN for the step and, unless the gradient
     threshold fired, for the gradient norm. Hitting ``max_iters`` returns a
-    result flagged not converged rather than raising; a functional that is
-    not finite, or that keeps increasing past the rule's planned rises,
-    raises ``DivergenceError``.
+    result flagged not converged rather than raising; a step to an iterate
+    whose norm is not finite, a functional that is not finite, or one that
+    keeps increasing past the rule's planned rises raises
+    ``DivergenceError``, and no overflow warns.
     """
     if not rings_compatible(data.u_bar.ring, backend.outer_ring):
         raise ValueError("Cauchy data does not match the backend's outer ring")
@@ -389,6 +268,13 @@ def run(
         counters.line_search += len(trials)
         history.append(_record(k, j_value, grad_norm, rho, counters))
         iterations += 1
+        # a finite square norm keeps every sum a solve forms finite
+        if not math.isfinite(omega.values @ omega.values):
+            raise DivergenceError(
+                f"the norm of iterate {k + 1} is not finite (step {rho:.6e}); "
+                "the iterates overflowed",
+                history,
+            )
 
     return RunResult(history, omega, converged, reason, counters, iterations)
 

@@ -4,15 +4,22 @@ A harmonic field on the annulus r_inner < r < r_outer splits into angular
 modes exp(i*j*theta) with radial parts alpha*r^|j| + beta*r^-|j| (for
 j = 0: alpha + beta*log r). Everything the descent iteration does to the
 inner-trace error is diagonal in this basis, which yields closed forms
-used both as a fast solver backend and as the oracle the finite element
-backend is verified against.
+used both as a fast solver backend, ``SpectralBackend``, and as the oracle
+the finite element backend is verified against.
 
 Conventions. A function f on a circle of radius R is written
 f(theta) = sum_j a_j exp(i*j*theta) with a_{-j} = conj(a_j) for real data,
-so an array of a_0..a_M (``rfft`` layout, as ``fourier`` produces) holds a
-band-limited real function. The outward normal on the inner circle points
-toward the origin, so the outward normal derivative there is minus the
-radial one.
+so an array of a_0..a_M (``rfft`` layout) holds a band-limited real
+function; arrays in this layout are the package's only coefficient
+format. The outward normal on the inner circle points toward the origin,
+so the outward normal derivative there is minus the radial one.
+
+On a ring of n equispaced nodes, ``band_coefficients`` takes the real
+discrete Fourier transform (``rfft``) of the samples and keeps modes
+``0..M``, and ``band_samples`` goes back with one ``irfft``; the round trip
+is the identity on band-limited functions. ``SpectralBackend`` prepares
+its per-mode responses from ``solve_series`` once and solves through that
+pair.
 
 Two per-mode factors drive the whole method. With q = r_inner / r_outer
 and m = |j|:
@@ -32,24 +39,33 @@ representative of the functional's derivative in L2 of the inner circle.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import is_count
+from .boundary import BoundaryFunction, BoundaryRing, _require_ring, is_count
 
 __all__ = [
     "DEFAULT_BAND_CAP",
     "HarmonicSeries",
+    "SpectralBackend",
+    "band_coefficients",
+    "band_samples",
     "trace_factor",
     "gradient_factor",
     "compression_factor",
     "solve_series",
 ]
 
+Array = np.ndarray
+
 # Modes above this are never tracked: at radius ratio 3 their gradient
 # factors sit below 1e-60 and contribute nothing at double precision.
 DEFAULT_BAND_CAP = 64
+
+# Relative magnitude below which a coefficient is treated as numerical noise.
+BAND_THRESHOLD = 1e-8
 
 
 def _check_radii(r_inner: float, r_outer: float) -> None:
@@ -174,3 +190,110 @@ def solve_series(
     b[0] = g[0] * r_outer
     a[0] = w[0] - b[0] * math.log(q)
     return HarmonicSeries(a, b, r_inner, r_outer)
+
+
+def _require_resolvable(max_mode: int, n: int) -> None:
+    resolvable = (n - 1) // 2
+    if max_mode < 0:
+        raise ValueError("max_mode must be nonnegative")
+    if max_mode > resolvable:
+        raise ValueError(
+            f"band {max_mode} exceeds the {resolvable} modes resolvable with {n} samples"
+        )
+
+
+def band_coefficients(values: Array, max_mode: int, *, warn_tail: bool = True) -> Array:
+    """Coefficients a_0..a_max_mode of samples at n equispaced angles 2*pi*k/n.
+
+    A ring of n nodes resolves modes up to (n - 1) // 2; asking beyond that
+    raises, while sample content above the returned band (including the
+    even-n Nyquist bin) is discarded with a warning when it is significant.
+    ``warn_tail=False`` suppresses the warning; callers that transform data
+    which is band-limited by construction (so any tail is roundoff) use it
+    to avoid false alarms on all-noise signals.
+    """
+    n = values.size
+    _require_resolvable(max_mode, n)
+    spectrum = np.fft.rfft(values) / n
+    spectrum[0] = spectrum[0].real
+    if warn_tail:
+        magnitude = np.abs(spectrum)
+        if magnitude[max_mode + 1 :].max(initial=0.0) > BAND_THRESHOLD * magnitude.max():
+            warnings.warn(
+                f"ring data has significant content above mode {max_mode}; "
+                "those coefficients were discarded",
+                stacklevel=3,  # the caller of whoever asked for the coefficients
+            )
+    return spectrum[: max_mode + 1]
+
+
+def band_samples(coeffs: Array, n: int) -> Array:
+    """Values at n equispaced angles of the real function with ``rfft``-layout
+    coefficients ``coeffs``; the inverse of ``band_coefficients``."""
+    _require_resolvable(coeffs.size - 1, n)
+    return np.fft.irfft(coeffs * n, n)
+
+
+class SpectralBackend:
+    """Fourier-space solves on nominal rings of equispaced nodes.
+
+    The band is modes ``0..max_mode`` with ``max_mode`` the smaller of
+    ``DEFAULT_BAND_CAP`` and the (n_angular - 1) // 2 modes the rings
+    resolve. At construction, ``solve_series`` is run once on unit
+    coefficients to get, for the band in ``rfft`` layout, the outer trace
+    of unit Dirichlet data (``dirichlet_trace``) and of unit Neumann data
+    (``neumann_trace``), and the inner radial derivative of unit Neumann
+    data (``neumann_gradient``). A solve is then a product per mode between
+    ``band_coefficients`` and ``band_samples``. Data must live on the
+    backend's own rings.
+    """
+
+    def __init__(self, r_inner: float, r_outer: float, n_angular: int = 160):
+        _check_radii(r_inner, r_outer)
+        self.r_inner = r_inner
+        self.r_outer = r_outer
+        self.inner_ring = BoundaryRing("inner", r_inner, n_angular)
+        self.outer_ring = BoundaryRing("outer", r_outer, n_angular)
+        self._max_mode = min(DEFAULT_BAND_CAP, (n_angular - 1) // 2)
+
+        ones, zeros = np.ones(self.max_mode + 1), np.zeros(self.max_mode + 1)
+        from_dirichlet = solve_series(zeros, ones, r_inner, r_outer)
+        from_neumann = solve_series(ones, zeros, r_inner, r_outer)
+        self.dirichlet_trace = from_dirichlet.trace(r_outer)
+        self.neumann_trace = from_neumann.trace(r_outer)
+        # gradient = -d/dn on the inner circle = +d/dr there
+        self.neumann_gradient = from_neumann.radial_derivative(r_inner)
+
+    @property
+    def max_mode(self) -> int:
+        """Highest mode of the band."""
+        return self._max_mode
+
+    def solve_primary(
+        self, omega: BoundaryFunction, q_bar: BoundaryFunction
+    ) -> BoundaryFunction:
+        _require_ring(omega, self.inner_ring)
+        _require_ring(q_bar, self.outer_ring)
+        modes = self.dirichlet_trace * band_coefficients(omega.values, self.max_mode)
+        modes += self.neumann_trace * band_coefficients(q_bar.values, self.max_mode)
+        return BoundaryFunction(self.outer_ring, band_samples(modes, self.outer_ring.size))
+
+    def solve_adjoint(self, neumann: BoundaryFunction) -> BoundaryFunction:
+        # the adjoint data 2(v - u_bar) are band-limited up to roundoff noise;
+        # unresolvable user data is already diagnosed by solve_primary
+        _require_ring(neumann, self.outer_ring)
+        modes = self.neumann_gradient * band_coefficients(
+            neumann.values, self.max_mode, warn_tail=False
+        )
+        return BoundaryFunction(self.inner_ring, band_samples(modes, self.inner_ring.size))
+
+    def functional(self, v_trace: BoundaryFunction, u_bar: BoundaryFunction) -> float:
+        """Squared L2 norm over the outer circle of the misfit's band,
+        2*pi*R * (|a_0|^2 + 2 * sum_{j >= 1} |a_j|^2). An overflow gives a
+        non-finite value, on which ``run`` raises."""
+        _require_ring(v_trace, self.outer_ring)
+        _require_ring(u_bar, self.outer_ring)
+        # near convergence the misfit is pure roundoff, so skip the tail warning
+        misfit = band_coefficients(v_trace.values - u_bar.values, self.max_mode, warn_tail=False)
+        power = np.abs(misfit) ** 2
+        return float(2.0 * math.pi * self.r_outer * (power[0] + 2.0 * power[1:].sum()))

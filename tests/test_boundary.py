@@ -131,6 +131,12 @@ def test_function_arithmetic():
     h = f.copy()
     h.values[0] = 99.0
     assert f.values[0] != 99.0
+    for other in (BoundaryRing("inner", 1.0, 16), BoundaryRing("outer", 1.0, 8)):
+        foreign = BoundaryFunction.zeros(other)
+        with pytest.raises(ValueError, match="different rings"):
+            f + foreign
+        with pytest.raises(ValueError, match="different rings"):
+            f - foreign
 
 
 def test_function_shape_validation():

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -109,24 +110,33 @@ def test_divergence_exits_two(tmp_path, capsys):
 
 
 def test_overflow_exits_two_without_traceback(tmp_path, capsys):
-    cfg = dict(BASE, strategy={"kind": "constant", "rho": 1e200}, output_dir=str(tmp_path / "out"))
-    assert main(["run", write_config(tmp_path, cfg)]) == 2
-    err = capsys.readouterr().err
-    assert "not finite" in err
-    assert "Traceback" not in err
+    """At 1e200 the first iterate's square norm overflows; at 1e308 on
+    ``example1`` the iterate is finite, but its square norm and the sums of
+    its next solve are not. Neither warns."""
+    for backend in ("spectral", "fem"):
+        for rho in (1e200, 1e308):
+            cfg = dict(BASE, backend=backend, strategy={"kind": "constant", "rho": rho})
+            path = write_config(tmp_path, dict(cfg, output_dir=str(tmp_path / "out")))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                assert main(["run", path]) == 2
+            err = capsys.readouterr().err
+            assert "not finite" in err
+            assert "Traceback" not in err
 
 
 def test_overflow_stderr_holds_no_runtime_warning(tmp_path, src_env):
-    cfg = dict(BASE, strategy={"kind": "constant", "rho": 1e200}, output_dir=str(tmp_path / "out"))
-    done = subprocess.run(
-        [sys.executable, "-m", "adjoint_cauchy.cli", "run", write_config(tmp_path, cfg)],
-        env=src_env,
-        capture_output=True,
-        text=True,
-    )
-    assert done.returncode == 2
-    assert "not finite" in done.stderr
-    assert "RuntimeWarning" not in done.stderr
+    for rho in (1e200, 1e308):
+        cfg = dict(BASE, strategy={"kind": "constant", "rho": rho}, output_dir=str(tmp_path / "out"))
+        done = subprocess.run(
+            [sys.executable, "-m", "adjoint_cauchy.cli", "run", write_config(tmp_path, cfg)],
+            env=src_env,
+            capture_output=True,
+            text=True,
+        )
+        assert done.returncode == 2
+        assert "not finite" in done.stderr
+        assert "RuntimeWarning" not in done.stderr
 
 
 def test_config_errors_exit_one(tmp_path, capsys):
@@ -219,10 +229,18 @@ def oracle_with(**fields):
         pytest.param("oracle-check", oracle_with(tolerance=0), id="oracle-tolerance-0"),
         pytest.param("oracle-check", oracle_with(tolerance=-1), id="oracle-tolerance-neg"),
         pytest.param("oracle-check", oracle_with(min_ratio=0.5), id="oracle-min_ratio-0.5"),
+        pytest.param("run", [BASE], id="config-list"),
+        pytest.param("run", dict(BASE, stop=5), id="stop-5"),
+        pytest.param("run", dict(BASE, strategy={"kind": "constant"}), id="constant-no-rho"),
+        pytest.param("run", dict(BASE, radii={"inner": 3, "outer": 1}), id="radii-inverted"),
+        pytest.param("run", dict(BASE, output_dir=""), id="output_dir-empty"),
     ],
 )
 def test_strict_config_values_exit_one(tmp_path, capsys, command, cfg):
-    path = write_config(tmp_path, dict(cfg, output_dir=str(tmp_path / "out")))
+    """A bad value is a config error; ``output_dir`` defaults to ``tmp_path``."""
+    if isinstance(cfg, dict):
+        cfg = {"output_dir": str(tmp_path / "out"), **cfg}
+    path = write_config(tmp_path, cfg)
     assert main([command, path]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:")
@@ -276,6 +294,7 @@ def test_command_line_overrides(tmp_path):
         ["--j-tol", "1e999"],
         ["--mesh", "2_7x1_60"],
         ["--mesh", "6x32.5"],
+        ["--strategy", "{bad"],
     ],
     ids=lambda override: " ".join(override),
 )
@@ -322,6 +341,9 @@ def test_every_field_is_a_config_key():
     for kind, rule in zip(cli.STRATEGY_KINDS, rules):
         assert_not_defaults(rule)
         assert cli._strategy(as_config(rule, kind=kind)) == rule
+    # JSON null is the default tail step
+    untailed = {"kind": "sweep", "mode_min": 1, "mode_max": 4, "tail_rho": None}
+    assert cli._strategy(untailed) == ModeSweep(mode_min=1, mode_max=4)
     for obj in (StopRule(j_tol=1e-7, grad_eps=1e-9, max_iters=7), HarmonicTerm(0.5, 3, "sin")):
         assert_not_defaults(obj)
         assert cli._build(type(obj), as_config(obj), "x") == obj

@@ -19,15 +19,9 @@ from adjoint_cauchy import (
     cauchy_data,
     generate_mesh,
 )
-from adjoint_cauchy import fem, iteration
+from adjoint_cauchy import fem
 from adjoint_cauchy.boundary import BoundaryRing, boundary_norm, ring_mass_apply
-from adjoint_cauchy.fem import (
-    FourierSolver,
-    assemble_stiffness,
-    local_stiffness,
-    normal_flux,
-    solve_mixed_bvp,
-)
+from adjoint_cauchy.fem import assemble_stiffness, local_stiffness, normal_flux, solve_mixed_bvp
 
 
 def sparse_stiffness(mesh):
@@ -106,7 +100,7 @@ def test_flux_rows_are_the_inner_rows_over_lumped_weights():
     field = np.random.default_rng(3).standard_normal((4, 16))
     ring = mesh.inner_ring
     want = (sparse_stiffness(mesh)[:16] @ field.reshape(-1)) / ring.chord
-    got = normal_flux(field, FourierSolver(mesh))
+    got = normal_flux(field, FemBackend(mesh))
     assert np.abs(got.values - want).max() <= 1e-13 * np.abs(want).max()
 
 
@@ -142,29 +136,29 @@ def test_package_import_leaves_out_scipy(src_env):
 def test_solve_constant_dirichlet_gives_constant_field():
     mesh = generate_mesh(AnnulusSpec(1.0, 3.0, 4, 24))
     v = solve_mixed_bvp(
-        FourierSolver(mesh),
+        FemBackend(mesh),
         BoundaryFunction.zeros(mesh.outer_ring),
         BoundaryFunction(mesh.inner_ring, np.ones(24)),
     )
     assert np.max(np.abs(v - 1.0)) < 1e-10
 
 
-def test_solve_reproduces_quadratic_harmonic(default_mesh):
+def test_solve_reproduces_quadratic_harmonic(default_mesh, fem_default):
     # flux 6 cos 2t, inner trace cos 2t: exact solution r^2 cos 2t
     mesh = default_mesh
     q = BoundaryFunction(mesh.outer_ring, 6 * np.cos(2 * mesh.outer_ring.angles))
     w = BoundaryFunction(mesh.inner_ring, np.cos(2 * mesh.inner_ring.angles))
-    v = solve_mixed_bvp(FourierSolver(mesh), q, w)
+    v = solve_mixed_bvp(fem_default, q, w)
     got = BoundaryFunction(mesh.outer_ring, v[-1])
     want = BoundaryFunction(mesh.outer_ring, 9 * np.cos(2 * mesh.outer_ring.angles))
     assert boundary_norm(got - want) / boundary_norm(want) < 0.01
 
 
-def test_solve_single_mode_trace_damping(default_mesh):
+def test_solve_single_mode_trace_damping(default_mesh, fem_default):
     # q = 0, w = cos 2t: outer trace (9/41) cos 2t
     mesh = default_mesh
     w = BoundaryFunction(mesh.inner_ring, np.cos(2 * mesh.inner_ring.angles))
-    v = solve_mixed_bvp(FourierSolver(mesh), BoundaryFunction.zeros(mesh.outer_ring), w)
+    v = solve_mixed_bvp(fem_default, BoundaryFunction.zeros(mesh.outer_ring), w)
     got = BoundaryFunction(mesh.outer_ring, v[-1])
     want = BoundaryFunction(mesh.outer_ring, (9.0 / 41.0) * np.cos(2 * mesh.outer_ring.angles))
     assert boundary_norm(got - want) / boundary_norm(want) < 0.01
@@ -176,7 +170,7 @@ def test_trace_extracts_ring_values(default_mesh, fem_default):
     mesh = default_mesh
     omega = BoundaryFunction(mesh.inner_ring, np.cos(3 * mesh.inner_ring.angles) + 0.5)
     q = BoundaryFunction(mesh.outer_ring, np.sin(mesh.outer_ring.angles))
-    v = solve_mixed_bvp(fem_default.solver, q, omega)
+    v = solve_mixed_bvp(fem_default, q, omega)
     assert v.shape == (mesh.spec.n_radial + 1, mesh.spec.n_angular)
     # Dirichlet values are pinned exactly, not approximately
     assert np.array_equal(v[0], omega.values)
@@ -186,59 +180,58 @@ def test_trace_extracts_ring_values(default_mesh, fem_default):
     assert got.values.base is None
 
 
-def test_normal_flux_constant_field(default_mesh):
-    flux = normal_flux(np.ones((28, 160)), FourierSolver(default_mesh))
+def test_normal_flux_constant_field(fem_default):
+    flux = normal_flux(np.ones((28, 160)), fem_default)
     assert np.max(np.abs(flux.values)) < 1e-10
 
 
-def test_normal_flux_of_quadratic_harmonic(default_mesh):
+def test_normal_flux_of_quadratic_harmonic(default_mesh, fem_default):
     """Inward normal at the inner circle: d/dn of r^2 cos 2t is -2 cos 2t."""
     mesh = default_mesh
     q = BoundaryFunction(mesh.outer_ring, 6 * np.cos(2 * mesh.outer_ring.angles))
     w = BoundaryFunction(mesh.inner_ring, np.cos(2 * mesh.inner_ring.angles))
-    v = solve_mixed_bvp(FourierSolver(mesh), q, w)
-    flux = normal_flux(v, FourierSolver(mesh))
+    v = solve_mixed_bvp(fem_default, q, w)
+    flux = normal_flux(v, fem_default)
     want = BoundaryFunction(mesh.inner_ring, -2.0 * np.cos(2 * mesh.inner_ring.angles))
     assert boundary_norm(flux - want) / boundary_norm(want) < 0.02
 
 
-def test_adjoint_flux_recovers_descent_direction(default_mesh):
+def test_adjoint_flux_recovers_descent_direction(default_mesh, fem_default):
     # At omega = 0 the misfit is -(9/41) cos 2t; the adjoint flux is then
     # +C_2 cos 2t = (486/1681) cos 2t, the negative of the gradient.
     mesh = default_mesh
     data = cauchy_data(builtin_terms("example1"), mesh.outer_ring)
-    solver = FourierSolver(mesh)
     zero_inner = BoundaryFunction.zeros(mesh.inner_ring)
-    v = solve_mixed_bvp(solver, data.q_bar, zero_inner)
+    v = solve_mixed_bvp(fem_default, data.q_bar, zero_inner)
     misfit = BoundaryFunction(mesh.outer_ring, v[-1]) - data.u_bar
-    vhat = solve_mixed_bvp(solver, 2.0 * misfit, zero_inner)
-    flux = normal_flux(vhat, solver)
+    vhat = solve_mixed_bvp(fem_default, 2.0 * misfit, zero_inner)
+    flux = normal_flux(vhat, fem_default)
     want = BoundaryFunction(mesh.inner_ring, (486.0 / 1681.0) * np.cos(2 * mesh.inner_ring.angles))
     assert boundary_norm(flux - want) / boundary_norm(want) < 0.05
 
 
 def test_discrete_maximum_principle():
     mesh = generate_mesh(AnnulusSpec(1.0, 3.0, 4, 24))
-    solver = FourierSolver(mesh)
+    backend = FemBackend(mesh)
     rng = np.random.default_rng(8)
     for _ in range(3):
         w = BoundaryFunction(mesh.inner_ring, rng.uniform(-2.0, 2.0, 24))
-        v = solve_mixed_bvp(solver, BoundaryFunction.zeros(mesh.outer_ring), w)
+        v = solve_mixed_bvp(backend, BoundaryFunction.zeros(mesh.outer_ring), w)
         assert v.min() >= w.values.min() - 1e-8
         assert v.max() <= w.values.max() + 1e-8
 
 
 def test_solver_linearity():
     mesh = generate_mesh(AnnulusSpec(1.0, 3.0, 4, 24))
-    solver = FourierSolver(mesh)
+    backend = FemBackend(mesh)
     rng = np.random.default_rng(14)
     q1 = BoundaryFunction(mesh.outer_ring, rng.standard_normal(24))
     q2 = BoundaryFunction(mesh.outer_ring, rng.standard_normal(24))
     w1 = BoundaryFunction(mesh.inner_ring, rng.standard_normal(24))
     w2 = BoundaryFunction(mesh.inner_ring, rng.standard_normal(24))
     a, b = 1.75, -0.6
-    v_combo = solve_mixed_bvp(solver, a * q1 + b * q2, a * w1 + b * w2)
-    v_parts = a * solve_mixed_bvp(solver, q1, w1) + b * solve_mixed_bvp(solver, q2, w2)
+    v_combo = solve_mixed_bvp(backend, a * q1 + b * q2, a * w1 + b * w2)
+    v_parts = a * solve_mixed_bvp(backend, q1, w1) + b * solve_mixed_bvp(backend, q2, w2)
     assert np.max(np.abs(v_combo - v_parts)) < 1e-12
 
 
@@ -248,7 +241,7 @@ def test_solve_matches_sparse_direct_solve(n_radial, n_angular):
     rng = np.random.default_rng(n_radial * 100 + n_angular)
     q = BoundaryFunction(mesh.outer_ring, rng.standard_normal(n_angular))
     w = BoundaryFunction(mesh.inner_ring, rng.standard_normal(n_angular))
-    got = solve_mixed_bvp(FourierSolver(mesh), q, w).reshape(-1)
+    got = solve_mixed_bvp(FemBackend(mesh), q, w).reshape(-1)
 
     k = sparse_stiffness(mesh)
     fixed = np.arange(n_angular)
@@ -268,7 +261,7 @@ def test_dirichlet_values_exact_through_backend(monkeypatch):
         fields.append(solve_mixed_bvp(*args, **kwargs))
         return fields[-1]
 
-    monkeypatch.setattr(iteration, "solve_mixed_bvp", keep_field)
+    monkeypatch.setattr(fem, "solve_mixed_bvp", keep_field)
     backend = FemBackend(generate_mesh(AnnulusSpec(1.0, 3.0, 4, 24)))
     omega = BoundaryFunction(backend.inner_ring, np.random.default_rng(5).standard_normal(24))
     backend.solve_primary(omega, BoundaryFunction.zeros(backend.outer_ring))
@@ -288,16 +281,16 @@ def test_non_finite_data_raises_solver_error():
 
 def test_solve_ring_validation():
     mesh = generate_mesh(AnnulusSpec(1.0, 3.0, 2, 8))
-    solver = FourierSolver(mesh)
+    backend = FemBackend(mesh)
     with pytest.raises(ValueError):
         solve_mixed_bvp(
-            solver,
+            backend,
             BoundaryFunction.zeros(BoundaryRing("outer", 3.0, 12)),
             BoundaryFunction.zeros(mesh.inner_ring),
         )
     with pytest.raises(ValueError):
         solve_mixed_bvp(
-            solver,
+            backend,
             BoundaryFunction.zeros(mesh.outer_ring),
             BoundaryFunction.zeros(BoundaryRing("inner", 1.0, 12)),
         )

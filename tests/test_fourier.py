@@ -1,4 +1,5 @@
-"""Ring sampling <-> Fourier coefficients in rfft layout."""
+"""Ring sampling <-> Fourier coefficients in rfft layout: the band transform
+of ``spectral``."""
 
 import math
 import warnings
@@ -9,7 +10,7 @@ from numpy.testing import assert_allclose
 
 from adjoint_cauchy import BoundaryFunction
 from adjoint_cauchy.boundary import BoundaryRing, boundary_inner_product
-from adjoint_cauchy.fourier import band_coefficients, band_samples
+from adjoint_cauchy.spectral import band_coefficients, band_samples
 
 
 def random_band(rng, mode_max):

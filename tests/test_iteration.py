@@ -1,8 +1,10 @@
 """The descent loop and its two backends."""
 
+import ast
 import csv
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,10 +31,10 @@ from adjoint_cauchy import (
     gradient_factor,
     run,
 )
+from adjoint_cauchy import iteration
 from adjoint_cauchy.boundary import BoundaryRing, boundary_inner_product, boundary_norm
-from adjoint_cauchy.fourier import band_coefficients, band_samples
 from adjoint_cauchy.iteration import IterationRecord, write_history_csv
-from adjoint_cauchy.spectral import solve_series
+from adjoint_cauchy.spectral import band_coefficients, band_samples, solve_series
 
 R_IN, R_OUT = 1.0, 3.0
 J_ZERO = 243.0 * math.pi / 1681.0
@@ -419,15 +421,18 @@ def test_data_and_stop_validation():
     for max_iters in (2.5, 2.0, True):
         with pytest.raises(ValueError, match="whole number"):
             StopRule(max_iters=max_iters)
-    for max_mode in (2.5, "3", True):
-        with pytest.raises(ValueError, match="whole number"):
-            SpectralBackend(R_IN, R_OUT, n_angular=16, max_mode=max_mode)
+    for r_inner, r_outer in ((3.0, 1.0), (1.0, 1.0), (0.0, 3.0)):
+        with pytest.raises(ValueError, match="radii"):
+            SpectralBackend(r_inner, r_outer, n_angular=16)
 
 
 def test_run_rejects_foreign_start(spectral, ex1, fem_default):
     wrong = BoundaryFunction.zeros(BoundaryRing("inner", 1.0, 32))
     with pytest.raises(ValueError):
         run(spectral, ex1, Constant(0.3), omega0=wrong)
+    foreign = cauchy_data(builtin_terms("example1"), BoundaryRing("outer", R_OUT, 32))
+    with pytest.raises(ValueError, match="Cauchy data"):
+        run(spectral, foreign, Constant(0.3))
     for backend in (spectral, fem_default):
         data = cauchy_data(builtin_terms("example1"), backend.outer_ring)
         for bad_value in (math.nan, math.inf):
@@ -438,22 +443,27 @@ def test_run_rejects_foreign_start(spectral, ex1, fem_default):
 
 
 def test_non_finite_functional_is_divergence(spectral, ex2):
-    # the second iterate is of order 1e199, so J overflows to inf
-    with pytest.raises(DivergenceError, match="not finite"):
-        run(spectral, ex2, Constant(1e200), StopRule(max_iters=100))
+    # a start of order 1e160 is finite, but its misfit's square overflows
+    start = BoundaryFunction(spectral.inner_ring, np.full(spectral.inner_ring.size, 1e160))
+    with pytest.raises(DivergenceError, match="functional is not finite at iteration 0"):
+        run(spectral, ex2, Constant(1e-3), StopRule(max_iters=100), omega0=start)
 
 
 @pytest.mark.parametrize("backend_kind", ["fem", "spectral"])
 def test_overflow_raises_divergence_without_runtime_warning(backend_kind):
+    """At 1e200 the square norm of the first step's iterate overflows; at
+    1e308 the step itself does."""
     if backend_kind == "fem":
         backend = FemBackend(generate_mesh(AnnulusSpec(R_IN, R_OUT, 3, 16)))
     else:
         backend = SpectralBackend(R_IN, R_OUT, n_angular=16)
     data = cauchy_data(builtin_terms("example2"), backend.outer_ring)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(DivergenceError, match="not finite"):
-            run(backend, data, Constant(1e200), StopRule(max_iters=100))
+    for rho in (1e200, 1e308):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DivergenceError, match="not finite") as caught:
+                run(backend, data, Constant(rho), StopRule(max_iters=100))
+        assert caught.value.history[-1].rho == rho
 
 
 def test_cauchy_data_rejects_non_finite_values():
@@ -474,11 +484,15 @@ def random_band(max_mode, rng):
     return np.concatenate(([draws[0]], draws[1::2] + 1j * draws[2::2]))
 
 
-@pytest.mark.parametrize("n_angular, max_mode", [(16, 3), (16, 7), (17, 4), (17, 8)])
+@pytest.mark.parametrize(
+    "n_angular, max_mode", [(8, 3), (9, 4), (16, 7), (17, 8), (160, 64)]
+)
 def test_prepared_spectral_solves_match_series_oracle(n_angular, max_mode):
     """Per-mode responses reproduce a series solution of the data's own
-    coefficients; 7 and 8 are the highest modes that 16 and 17 nodes resolve."""
-    backend = SpectralBackend(R_IN, R_OUT, n_angular=n_angular, max_mode=max_mode)
+    coefficients. The band is every mode the ring resolves, (n - 1) // 2,
+    up to the cap: 160 nodes resolve 79 modes and the backend keeps 64."""
+    backend = SpectralBackend(R_IN, R_OUT, n_angular=n_angular)
+    assert backend.max_mode == max_mode
     inner, outer = backend.inner_ring, backend.outer_ring
     rng = np.random.default_rng(n_angular + max_mode)
     zero = np.zeros(max_mode + 1)
@@ -500,15 +514,16 @@ def test_prepared_spectral_solves_match_series_oracle(n_angular, max_mode):
         assert abs(backend.functional(driver, q_bar) - want_j) <= 1e-13 * want_j
 
 
-def test_prepared_spectral_tail_warning():
-    backend = SpectralBackend(R_IN, R_OUT, n_angular=16, max_mode=3)
+def test_prepared_spectral_tail_warning(spectral_160):
+    """Content at mode 70 lies above the band cap of 64 on 160 nodes."""
+    backend = spectral_160
     inner, outer = backend.inner_ring, backend.outer_ring
-    tail_in = BoundaryFunction(inner, np.cos(5 * inner.angles))
-    tail_out = BoundaryFunction(outer, np.cos(5 * outer.angles))
+    tail_in = BoundaryFunction(inner, np.cos(70 * inner.angles))
+    tail_out = BoundaryFunction(outer, np.cos(70 * outer.angles))
     band_out = BoundaryFunction(outer, np.cos(outer.angles))
-    with pytest.warns(UserWarning, match="above mode 3"):
+    with pytest.warns(UserWarning, match="above mode 64"):
         backend.solve_primary(tail_in, band_out)
-    with pytest.warns(UserWarning, match="above mode 3"):
+    with pytest.warns(UserWarning, match="above mode 64"):
         backend.solve_primary(BoundaryFunction.zeros(inner), tail_out)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -548,3 +563,23 @@ def test_functional_rejects_foreign_rings(backend_name, request):
             backend.functional(foreign, on_outer)
         with pytest.raises(ValueError):
             backend.functional(on_outer, foreign)
+
+
+
+def test_loop_imports_no_discretisation():
+    """The descent loop sees a backend only through its protocol: of the
+    package, it imports the boundary functions and the step rules only."""
+    imported = set()
+    for node in ast.walk(ast.parse(Path(iteration.__file__).read_text())):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            prefix = "." * node.level + (node.module or "")
+            names = [alias.name for alias in node.names]
+            imported.update([prefix] if node.module else (prefix + name for name in names))
+    package = {
+        name.replace("adjoint_cauchy", "", 1)
+        for name in imported
+        if name.startswith((".", "adjoint_cauchy"))
+    }
+    assert package <= {".boundary", ".steps"}

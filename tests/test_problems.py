@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from adjoint_cauchy import HarmonicTerm, builtin_terms, cauchy_data, exact_inner_trace
 from adjoint_cauchy.boundary import BoundaryRing
-from adjoint_cauchy.fourier import band_coefficients
+from adjoint_cauchy.spectral import band_coefficients
 from adjoint_cauchy.problems import BUILTIN_NAMES
 
 

@@ -20,8 +20,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adjoint_cauchy import BoundaryFunction, SpectralBackend, gradient_factor
-from adjoint_cauchy.fourier import band_coefficients, band_samples
-from adjoint_cauchy.spectral import compression_factor, solve_series, trace_factor
+from adjoint_cauchy.spectral import (
+    band_coefficients,
+    band_samples,
+    compression_factor,
+    solve_series,
+    trace_factor,
+)
 
 R_IN, R_OUT = 1.0, 3.0
 
@@ -270,8 +275,8 @@ def test_prepared_responses_match_closed_forms(r_inner, r_outer):
     q = r/R: the outer trace of unit Dirichlet data is T_m, that of unit
     Neumann data (R/m)(1 - q^2m)/(1 + q^2m) (R*log(R/r) at m = 0), and the
     inner gradient of unit Neumann data (R/r)*T_m."""
-    backend = SpectralBackend(r_inner, r_outer, n_angular=160, max_mode=64)
-    assert backend.max_mode == 64
+    backend = SpectralBackend(r_inner, r_outer, n_angular=160)
+    assert backend.max_mode == 64  # the band cap, below the 79 modes 160 nodes resolve
     m = np.arange(1, 65)
     q2m = (r_inner / r_outer) ** (2 * m)
     t = np.array([trace_factor(j, r_inner, r_outer) for j in range(65)])

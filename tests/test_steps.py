@@ -205,4 +205,6 @@ def test_strategy_validation():
         ExplicitSchedule(())
     with pytest.raises(ValueError):
         ExplicitSchedule((1.0, -1.0))
+    with pytest.raises(ValueError, match="tail"):
+        ExplicitSchedule((1.0,), tail_rho=0.0)
     assert ExplicitSchedule([1.0, 0.5]).rhos == (1.0, 0.5)
