@@ -10,9 +10,13 @@ Four subcommands work off a single JSON config file:
                    semi-analytic factors, with an optional refinement pass
 * ``mesh-info``    mesh statistics, optionally dumping node/triangle CSVs
 
+Every output file is written here; every CSV goes through ``_write_csv``,
+one format and one line ending for the whole run directory.
+
 Exit codes: 0 success (including a run that merely hit its iteration cap),
-1 usage or config error, 2 numerical failure (divergence, a non-finite
-solve, step underflow), 3 oracle tolerance breach.
+1 usage or config error (Cauchy data without a finite square norm among
+them), 2 numerical failure (divergence or overflow of the iterates, step
+underflow), 3 oracle tolerance breach.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import inspect
+import itertools
 import json
 import math
 import sys
@@ -27,14 +32,14 @@ import time
 import typing
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
 from .boundary import BoundaryFunction
 from .fem import FemBackend, SolverError
-from .iteration import DivergenceError, RunResult, StopRule, run, write_history_csv
-from .mesh import AnnulusSpec, dump_mesh_csv, generate_mesh, triangle_areas
+from .iteration import DivergenceError, IterationRecord, RunResult, StopRule, run
+from .mesh import AnnulusMesh, AnnulusSpec, generate_mesh, triangle_areas
 from .problems import HarmonicTerm, builtin_terms, cauchy_data, exact_inner_trace
 from .spectral import SpectralBackend, gradient_factor, trace_factor
 from .steps import (
@@ -61,10 +66,6 @@ RATIO_FLOOR = 1e-10
 
 class ConfigError(ValueError):
     """Malformed or inconsistent experiment configuration."""
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
 
 
 def _number(value: Any, context: str) -> float:
@@ -239,25 +240,56 @@ def _backend(cfg: dict):
 
 
 def _prepare(cfg: dict, out_override: str | None) -> tuple:
-    """Read the data, the stop rule and the output path, build the backend,
-    and only then create the output directory: a bad config leaves nothing
-    behind."""
+    """Read the data, the stop rule and the output path, build the backend
+    and the Cauchy data, and only then create the output directory: a bad
+    config leaves nothing behind."""
     terms = _build(_data, cfg.get("data"), "data")
     stop = _build(StopRule, cfg.get("stop", {}), "stop")
     path = out_override if out_override is not None else cfg.get("output_dir", "out")
     if not isinstance(path, str) or not path:
         raise ConfigError("output_dir must be a non-empty string")
     backend = _backend(cfg)
+    try:
+        data = cauchy_data(terms, backend.outer_ring)
+    except ValueError as exc:
+        raise ConfigError(f"data: {exc}") from exc
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
-    return backend, terms, stop, out
+    return backend, terms, data, stop, out
 
 
-def _write_omega_csv(path: Path, omega: BoundaryFunction, exact: BoundaryFunction) -> None:
+def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
+    """Write one CSV file: a float cell with 17 significant digits, any
+    other cell with ``str``, and every line ended by ``\\n``."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write("theta,omega,omega_exact,error\n")
-        for theta, value, ref in zip(omega.ring.angles, omega.values, exact.values):
-            handle.write(f"{_fmt(theta)},{_fmt(value)},{_fmt(ref)},{_fmt(value - ref)}\n")
+        for row in itertools.chain([header], rows):
+            cells = (format(cell, ".17g") if isinstance(cell, float) else str(cell) for cell in row)
+            handle.write(",".join(cells) + "\n")
+
+
+# the fields of ``IterationRecord`` in order, one column each
+HISTORY_HEADER = (
+    "k", "J", "grad_norm", "rho", "primary_solves", "adjoint_solves", "line_search_solves"
+)
+
+
+def _write_history(path: Path, history: list[IterationRecord]) -> None:
+    _write_csv(path, HISTORY_HEADER, map(dataclasses.astuple, history))
+
+
+def _dump_mesh(mesh: AnnulusMesh, directory: Path) -> tuple[Path, Path]:
+    """Write ``nodes.csv`` (id, x, y, ring) and ``tris.csv`` (id, n0, n1,
+    n2) into ``directory``, which is created; a node's ring tag is its
+    level's: inner, outer or empty."""
+    directory.mkdir(parents=True, exist_ok=True)
+    n_radial, n_angular = mesh.spec.n_radial, mesh.spec.n_angular
+    tags = ["inner"] + [""] * (n_radial - 1) + ["outer"]
+    nodes_path, tris_path = directory / "nodes.csv", directory / "tris.csv"
+    nodes = ((i, x, y, tags[i // n_angular]) for i, (x, y) in enumerate(mesh.nodes))
+    _write_csv(nodes_path, ("id", "x", "y", "ring"), nodes)
+    tris = ((i, *corners) for i, corners in enumerate(mesh.triangles))
+    _write_csv(tris_path, ("id", "n0", "n1", "n2"), tris)
+    return nodes_path, tris_path
 
 
 def _summary_payload(result: RunResult, wall_time: float, cfg: dict) -> dict:
@@ -278,15 +310,19 @@ def _summary_payload(result: RunResult, wall_time: float, cfg: dict) -> dict:
 
 def cmd_run(cfg: dict, out_override: str | None) -> int:
     strategy = _strategy(cfg.get("strategy"))
-    backend, terms, stop, out = _prepare(cfg, out_override)
-    data = cauchy_data(terms, backend.outer_ring)
+    backend, terms, data, stop, out = _prepare(cfg, out_override)
     start = time.perf_counter()
     result = run(backend, data, strategy, stop)
     wall = time.perf_counter() - start
 
-    write_history_csv(result.history, out / "history.csv")
-    exact = exact_inner_trace(terms, result.omega.ring)
-    _write_omega_csv(out / "omega_final.csv", result.omega, exact)
+    _write_history(out / "history.csv", result.history)
+    omega = result.omega.values
+    exact = exact_inner_trace(terms, result.omega.ring).values
+    _write_csv(
+        out / "omega_final.csv",
+        ("theta", "omega", "omega_exact", "error"),
+        zip(result.omega.ring.angles, omega, exact, omega - exact),
+    )
     summary = _summary_payload(result, wall, cfg)
     summary["strategy"] = cfg.get("strategy")
     with open(out / "summary.json", "w", encoding="utf-8") as handle:
@@ -306,14 +342,13 @@ def cmd_compare(cfg: dict, out_override: str | None) -> int:
     if not isinstance(specs, list) or len(specs) < 2:
         raise ConfigError("compare needs a 'strategies' list with at least two entries")
     strategies = [_strategy(obj, f"strategies[{i}]") for i, obj in enumerate(specs)]
-    backend, terms, stop, out = _prepare(cfg, out_override)
-    data = cauchy_data(terms, backend.outer_ring)
+    backend, _, data, stop, out = _prepare(cfg, out_override)
 
     labels = [f"{i:02d}_{obj['kind']}" for i, obj in enumerate(specs)]
     results = []
     for label, strategy in zip(labels, strategies):
         result = run(backend, data, strategy, stop)
-        write_history_csv(result.history, out / f"history_{label}.csv")
+        _write_history(out / f"history_{label}.csv", result.history)
         results.append(result)
         print(
             f"{label}: {'converged' if result.converged else result.reason}, "
@@ -323,13 +358,9 @@ def cmd_compare(cfg: dict, out_override: str | None) -> int:
 
     # one J column per strategy, aligned on k; exhausted runs leave blanks
     depth = max(len(result.history) for result in results)
-    with open(out / "compare.csv", "w", encoding="utf-8", newline="") as handle:
-        handle.write("k," + ",".join(f"J_{label}" for label in labels) + "\n")
-        for k in range(depth):
-            cells = [str(k)]
-            for result in results:
-                cells.append(_fmt(result.history[k].j_value) if k < len(result.history) else "")
-            handle.write(",".join(cells) + "\n")
+    columns = [[record.j_value for record in result.history] for result in results]
+    rows = ([k, *(col[k] if k < len(col) else "" for col in columns)] for k in range(depth))
+    _write_csv(out / "compare.csv", ("k", *(f"J_{label}" for label in labels)), rows)
     print(f"wrote {out / 'compare.csv'}")
     return 0
 
@@ -457,7 +488,7 @@ def cmd_mesh_info(cfg: dict, dump: str | None) -> int:
     print(f"triangle area min {areas.min():.6e} max {areas.max():.6e}")
     print(f"mesh area {areas.sum():.17g} (annulus {annulus_area:.17g})")
     if dump is not None:
-        nodes_path, tris_path = dump_mesh_csv(mesh, dump)
+        nodes_path, tris_path = _dump_mesh(mesh, Path(dump))
         print(f"wrote {nodes_path} and {tris_path}")
     return 0
 

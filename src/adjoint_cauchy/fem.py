@@ -32,10 +32,10 @@ misfit functional, this makes the adjoint gradient of the discrete
 functional exact up to rounding.
 
 ``SolverError`` is raised by ``solve_mixed_bvp`` on a field that is not
-finite, as non-finite data give. ``run`` checks its own iterates and
-raises ``DivergenceError`` when they overflow, so inside a run it comes
-only from a given start or Cauchy data that are finite but too large to
-solve (of order 1e300 or more).
+finite, as non-finite data give. A run never reaches it: ``CauchyData``
+and ``run`` require a finite square norm of the data, of a given start
+and of every iterate, which keeps every sum a solve forms finite. So it
+comes only from a direct ``solve_mixed_bvp`` call on non-finite data.
 """
 
 from __future__ import annotations

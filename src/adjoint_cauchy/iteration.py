@@ -25,10 +25,8 @@ trial counts as a line-search solve.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Protocol
 
 import numpy as np
@@ -44,13 +42,20 @@ __all__ = [
     "RunResult",
     "DivergenceError",
     "run",
-    "write_history_csv",
 ]
 
 # Consecutive functional increases tolerated before a run is declared
 # divergent. A rule's planned rises (the steps of a mode sweep, which may
 # raise the functional by design) are not counted.
 DIVERGENCE_PATIENCE = 5
+
+
+def _finite_square_norm(values: np.ndarray) -> bool:
+    """The rule for data, a start and every iterate of a run: a finite
+    square norm keeps every sum a solve forms finite. An overflow is the
+    answer here, not a warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return math.isfinite(values @ values)
 
 
 class DivergenceError(RuntimeError):
@@ -63,7 +68,8 @@ class DivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class CauchyData:
-    """Measured Dirichlet trace and Neumann flux on the outer circle."""
+    """Measured Dirichlet trace and Neumann flux on the outer circle, each
+    with a finite square norm."""
 
     u_bar: BoundaryFunction
     q_bar: BoundaryFunction
@@ -74,8 +80,8 @@ class CauchyData:
         if not rings_compatible(self.u_bar.ring, self.q_bar.ring):
             raise ValueError("Dirichlet and Neumann data must share one ring")
         for name in ("u_bar", "q_bar"):
-            if not np.isfinite(getattr(self, name).values).all():
-                raise ValueError(f"Cauchy data {name} has a non-finite value")
+            if not _finite_square_norm(getattr(self, name).values):
+                raise ValueError(f"Cauchy data {name} has a non-finite square norm")
 
 
 @dataclass
@@ -121,10 +127,10 @@ class StopRule:
     max_iters: int = 200
 
     def __post_init__(self):
-        if not self.j_tol > 0.0:
-            raise ValueError("j_tol must be positive")
-        if not self.grad_eps > 0.0:
-            raise ValueError("grad_eps must be positive")
+        if not 0.0 < self.j_tol < math.inf:
+            raise ValueError("j_tol must be positive and finite")
+        if not 0.0 < self.grad_eps < math.inf:
+            raise ValueError("grad_eps must be positive and finite")
         if not is_count(self.max_iters) or self.max_iters < 1:
             raise ValueError(f"max_iters must be a whole number >= 1, got {self.max_iters!r}")
 
@@ -179,7 +185,8 @@ def run(
 ) -> RunResult:
     """Drive the descent iteration until a stop rule fires.
 
-    Starts from ``omega0``, which must be finite (zero trace by default).
+    Starts from ``omega0``, whose square norm must be finite (zero trace by
+    default).
     Every iterate gets one history record with cumulative solve counts;
     the terminal record carries NaN for the step and, unless the gradient
     threshold fired, for the gradient norm. Hitting ``max_iters`` returns a
@@ -195,8 +202,8 @@ def run(
     else:
         if not rings_compatible(omega0.ring, backend.inner_ring):
             raise ValueError("omega0 does not match the backend's inner ring")
-        if not np.isfinite(omega0.values).all():
-            raise ValueError("omega0 has a non-finite value")
+        if not _finite_square_norm(omega0.values):
+            raise ValueError("omega0 has a non-finite square norm")
         omega = omega0.copy()
 
     counters = SolveCounters()
@@ -268,8 +275,7 @@ def run(
         counters.line_search += len(trials)
         history.append(_record(k, j_value, grad_norm, rho, counters))
         iterations += 1
-        # a finite square norm keeps every sum a solve forms finite
-        if not math.isfinite(omega.values @ omega.values):
+        if not _finite_square_norm(omega.values):
             raise DivergenceError(
                 f"the norm of iterate {k + 1} is not finite (step {rho:.6e}); "
                 "the iterates overflowed",
@@ -291,26 +297,3 @@ def _record(
         adjoint_solves=counters.adjoint,
         line_search_solves=counters.line_search,
     )
-
-
-def write_history_csv(history: list[IterationRecord], path: str | Path) -> Path:
-    """Dump iteration records with full-precision floats."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["k", "J", "grad_norm", "rho", "primary_solves", "adjoint_solves", "line_search_solves"]
-        )
-        for rec in history:
-            writer.writerow(
-                [
-                    rec.k,
-                    format(rec.j_value, ".17g"),
-                    format(rec.grad_norm, ".17g"),
-                    format(rec.rho, ".17g"),
-                    rec.primary_solves,
-                    rec.adjoint_solves,
-                    rec.line_search_solves,
-                ]
-            )
-    return path

@@ -9,15 +9,13 @@ A mesh stores its ``AnnulusSpec`` and the two boundary rings derived from
 it; node coordinates and triangles are computed when they are read.
 
 Node ``i * n_angular + j`` is the j-th node of radius level i, counted
-from the inner circle. Only ``nodes``, ``triangles`` and the CSV dump use
-this numbering; a solved field is indexed by (level, position).
+from the inner circle. Only ``nodes``, ``triangles`` and the CLI's CSV dump
+use this numbering; a solved field is indexed by (level, position).
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -30,7 +28,6 @@ __all__ = [
     "AnnulusMesh",
     "generate_mesh",
     "triangle_areas",
-    "dump_mesh_csv",
     "QUAD_CORNERS",
 ]
 
@@ -121,28 +118,3 @@ def triangle_areas(mesh: AnnulusMesh) -> Array:
     e1 = p[:, 1] - p[:, 0]
     e2 = p[:, 2] - p[:, 0]
     return 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
-
-
-def dump_mesh_csv(mesh: AnnulusMesh, directory: str | Path) -> tuple[Path, Path]:
-    """Write ``nodes.csv`` (id, x, y, ring) and ``tris.csv`` (id, n0, n1, n2);
-    a node's ring tag is its level's: inner, outer or empty."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    level_tags = ["inner"] + [""] * (mesh.spec.n_radial - 1) + ["outer"]
-
-    nodes_path = directory / "nodes.csv"
-    with nodes_path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "x", "y", "ring"])
-        for idx, (x, y) in enumerate(mesh.nodes):
-            tag = level_tags[idx // mesh.spec.n_angular]
-            writer.writerow([idx, format(x, ".17g"), format(y, ".17g"), tag])
-
-    tris_path = directory / "tris.csv"
-    with tris_path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "n0", "n1", "n2"])
-        for idx, tri in enumerate(mesh.triangles):
-            writer.writerow([idx, tri[0], tri[1], tri[2]])
-
-    return nodes_path, tris_path

@@ -47,7 +47,6 @@ import numpy as np
 from .boundary import BoundaryFunction, BoundaryRing, _require_ring, is_count
 
 __all__ = [
-    "DEFAULT_BAND_CAP",
     "HarmonicSeries",
     "SpectralBackend",
     "band_coefficients",
@@ -59,10 +58,6 @@ __all__ = [
 ]
 
 Array = np.ndarray
-
-# Modes above this are never tracked: at radius ratio 3 their gradient
-# factors sit below 1e-60 and contribute nothing at double precision.
-DEFAULT_BAND_CAP = 64
 
 # Relative magnitude below which a coefficient is treated as numerical noise.
 BAND_THRESHOLD = 1e-8
@@ -237,15 +232,14 @@ def band_samples(coeffs: Array, n: int) -> Array:
 class SpectralBackend:
     """Fourier-space solves on nominal rings of equispaced nodes.
 
-    The band is modes ``0..max_mode`` with ``max_mode`` the smaller of
-    ``DEFAULT_BAND_CAP`` and the (n_angular - 1) // 2 modes the rings
-    resolve. At construction, ``solve_series`` is run once on unit
-    coefficients to get, for the band in ``rfft`` layout, the outer trace
-    of unit Dirichlet data (``dirichlet_trace``) and of unit Neumann data
-    (``neumann_trace``), and the inner radial derivative of unit Neumann
-    data (``neumann_gradient``). A solve is then a product per mode between
-    ``band_coefficients`` and ``band_samples``. Data must live on the
-    backend's own rings.
+    The band is modes ``0..max_mode``, every mode the rings resolve:
+    ``max_mode = (n_angular - 1) // 2``. At construction, ``solve_series``
+    is run once on unit coefficients to get, for the band in ``rfft``
+    layout, the outer trace of unit Dirichlet data (``dirichlet_trace``)
+    and of unit Neumann data (``neumann_trace``), and the inner radial
+    derivative of unit Neumann data (``neumann_gradient``). A solve is then
+    a product per mode between ``band_coefficients`` and ``band_samples``.
+    Data must live on the backend's own rings.
     """
 
     def __init__(self, r_inner: float, r_outer: float, n_angular: int = 160):
@@ -254,7 +248,7 @@ class SpectralBackend:
         self.r_outer = r_outer
         self.inner_ring = BoundaryRing("inner", r_inner, n_angular)
         self.outer_ring = BoundaryRing("outer", r_outer, n_angular)
-        self._max_mode = min(DEFAULT_BAND_CAP, (n_angular - 1) // 2)
+        self.max_mode = (n_angular - 1) // 2
 
         ones, zeros = np.ones(self.max_mode + 1), np.zeros(self.max_mode + 1)
         from_dirichlet = solve_series(zeros, ones, r_inner, r_outer)
@@ -263,11 +257,6 @@ class SpectralBackend:
         self.neumann_trace = from_neumann.trace(r_outer)
         # gradient = -d/dn on the inner circle = +d/dr there
         self.neumann_gradient = from_neumann.radial_derivative(r_inner)
-
-    @property
-    def max_mode(self) -> int:
-        """Highest mode of the band."""
-        return self._max_mode
 
     def solve_primary(
         self, omega: BoundaryFunction, q_bar: BoundaryFunction

@@ -24,12 +24,14 @@ in m, so 1 / C_m grows with the mode index and a "descending" sweep
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .spectral import DEFAULT_BAND_CAP, _require_band, gradient_factor
+from .spectral import _require_band, gradient_factor
 
 __all__ = [
+    "DEFAULT_BAND_CAP",
     "Constant",
     "Armijo",
     "OptimalTwoMode",
@@ -44,6 +46,11 @@ __all__ = [
 ]
 
 MAX_BACKTRACKS = 60
+
+# The top mode of the band whose optimal step is the default tail step: at
+# radius ratio 3 its gradient factor sits below 1e-60, so the step is
+# 2 / C_0 to double precision.
+DEFAULT_BAND_CAP = 64
 
 
 class StepUnderflowError(RuntimeError):
@@ -69,8 +76,8 @@ class Constant(StepStrategy):
     rho: float
 
     def __post_init__(self):
-        if not self.rho > 0.0:
-            raise ValueError("constant step size must be positive")
+        if not 0.0 < self.rho < math.inf:
+            raise ValueError("constant step size must be positive and finite")
 
     def step_size(self, k: int, r_inner: float, r_outer: float) -> float:
         return self.rho
@@ -115,8 +122,8 @@ class ModeSweep(StepStrategy):
         _require_band(self.mode_min, self.mode_max)
         if self.direction not in ("ascending", "descending"):
             raise ValueError("direction must be 'ascending' or 'descending'")
-        if self.tail_rho is not None and not self.tail_rho > 0.0:
-            raise ValueError("tail step size must be positive")
+        if self.tail_rho is not None and not 0.0 < self.tail_rho < math.inf:
+            raise ValueError("tail step size must be positive and finite")
 
     @property
     def planned_rises(self) -> int:
@@ -145,10 +152,10 @@ class ExplicitSchedule(StepStrategy):
         object.__setattr__(self, "rhos", tuple(float(r) for r in self.rhos))
         if not self.rhos:
             raise ValueError("schedule needs at least one step")
-        if any(not r > 0.0 for r in self.rhos):
-            raise ValueError("scheduled step sizes must be positive")
-        if self.tail_rho is not None and not self.tail_rho > 0.0:
-            raise ValueError("tail step size must be positive")
+        if any(not 0.0 < r < math.inf for r in self.rhos):
+            raise ValueError("scheduled step sizes must be positive and finite")
+        if self.tail_rho is not None and not 0.0 < self.tail_rho < math.inf:
+            raise ValueError("tail step size must be positive and finite")
 
     def step_size(self, k: int, r_inner: float, r_outer: float) -> float:
         """The ``k``-th listed step, then the tail step as in ``ModeSweep``."""
@@ -204,8 +211,8 @@ def optimal_step(
 def default_tail_rho(r_inner: float, r_outer: float) -> float:
     """Tail step once a sweep or schedule has run out of steps.
 
-    The optimal two-mode step for the widest tracked band [0, cap]; the
-    cap mode's factor is negligible, so this is essentially 2 / C_0 =
+    The optimal two-mode step for the band [0, DEFAULT_BAND_CAP]; the
+    top mode's factor is negligible, so this is essentially 2 / C_0 =
     r_inner / r_outer.
     """
     return optimal_step(0, DEFAULT_BAND_CAP, r_inner, r_outer)[0]

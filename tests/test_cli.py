@@ -1,7 +1,10 @@
 """Experiment front end: configs, outputs, exit codes."""
 
+import ast
+import csv
 import dataclasses
 import json
+import math
 import subprocess
 import sys
 import warnings
@@ -19,8 +22,10 @@ from adjoint_cauchy import (
     OptimalTwoMode,
     StopRule,
     cli,
+    generate_mesh,
 )
 from adjoint_cauchy.cli import ConfigError, _count, _number, main, oracle_check
+from adjoint_cauchy.iteration import IterationRecord
 
 BASE = {
     "radii": {"inner": 1.0, "outer": 3.0},
@@ -186,6 +191,10 @@ def one_term(**fields):
     return {"terms": [{"amplitude": 1.0, "mode": 2, "kind": "cos", **fields}]}
 
 
+# a ``strategies`` list for ``compare``
+TWO_RULES = [BASE["strategy"], {"kind": "constant", "rho": "1/3"}]
+
+
 def oracle_with(**fields):
     return dict(ORACLE, oracle=dict(ORACLE["oracle"], **fields))
 
@@ -234,10 +243,22 @@ def oracle_with(**fields):
         pytest.param("run", dict(BASE, strategy={"kind": "constant"}), id="constant-no-rho"),
         pytest.param("run", dict(BASE, radii={"inner": 3, "outer": 1}), id="radii-inverted"),
         pytest.param("run", dict(BASE, output_dir=""), id="output_dir-empty"),
+        # finite amplitudes whose data have no finite square norm
+        *(
+            pytest.param(
+                command,
+                dict(BASE, backend=backend, data=one_term(amplitude=amplitude), **extra),
+                id=f"{command}-{backend}-amplitude-{amplitude:g}",
+            )
+            for command, extra in (("run", {}), ("compare", {"strategies": TWO_RULES}))
+            for backend in ("fem", "spectral")
+            for amplitude in (1e307, 1e300, 1e160)
+        ),
     ],
 )
 def test_strict_config_values_exit_one(tmp_path, capsys, command, cfg):
-    """A bad value is a config error; ``output_dir`` defaults to ``tmp_path``."""
+    """A bad value is a config error, and leaves no output directory;
+    ``output_dir`` defaults to ``tmp_path``."""
     if isinstance(cfg, dict):
         cfg = {"output_dir": str(tmp_path / "out"), **cfg}
     path = write_config(tmp_path, cfg)
@@ -245,6 +266,7 @@ def test_strict_config_values_exit_one(tmp_path, capsys, command, cfg):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
     # each context is named once, not again by the caller that passes it on
     context, _, rest = err.removeprefix("error: ").partition(": ")
     assert not rest.startswith(context), err
@@ -438,6 +460,65 @@ def test_mesh_info(tmp_path, capsys):
     assert (tmp_path / "m" / "tris.csv").exists()
 
 
+def test_write_history_csv(tmp_path):
+    history = [
+        IterationRecord(0, 0.5, 0.25, 1.5, 1, 1, 0),
+        IterationRecord(1, 1e-7, float("nan"), float("nan"), 2, 1, 0),
+    ]
+    path = tmp_path / "history.csv"
+    cli._write_history(path, history)
+    with path.open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["k"] for r in rows] == ["0", "1"]
+    assert float(rows[0]["J"]) == 0.5
+    assert float(rows[0]["rho"]) == 1.5
+    assert math.isnan(float(rows[1]["rho"]))
+
+
+def test_dump_csv(tmp_path):
+    mesh = generate_mesh(AnnulusSpec(1.0, 3.0, 1, 4))
+    nodes_path, tris_path = cli._dump_mesh(mesh, tmp_path)
+    nodes = nodes_path.read_text().strip().splitlines()
+    tris = tris_path.read_text().strip().splitlines()
+    assert nodes_path.name == "nodes.csv"
+    assert tris_path.name == "tris.csv"
+    assert nodes[0] == "id,x,y,ring"
+    assert tris[0] == "id,n0,n1,n2"
+    assert len(nodes) == 1 + mesh.n_nodes
+    assert len(tris) == 1 + mesh.n_triangles
+    assert [line.split(",")[3] for line in nodes[1:]] == ["inner"] * 4 + ["outer"] * 4
+    # a ring tag is its level's; levels between the rings carry none
+    nodes_path, _ = cli._dump_mesh(generate_mesh(AnnulusSpec(1.0, 3.0, 2, 4)), tmp_path / "two")
+    tags = [line.split(",")[3] for line in nodes_path.read_text().strip().splitlines()[1:]]
+    assert tags == ["inner"] * 4 + [""] * 4 + ["outer"] * 4
+
+
+def test_write_csv_formats_every_cell_one_way(tmp_path):
+    path = tmp_path / "t.csv"
+    cli._write_csv(path, ("a", "b", "c"), [(1, 0.1, "x"), (2, float("nan"), "")])
+    assert path.read_bytes() == b"a,b,c\n1,0.10000000000000001,x\n2,nan,\n"
+
+
+def test_only_cli_writes_files():
+    """No package module but ``cli`` imports ``csv`` or ``pathlib`` or calls
+    ``open``: output files are the front end's alone."""
+    package = Path(cli.__file__).parent
+    modules = sorted(path for path in package.glob("*.py") if path.name != "cli.py")
+    assert len(modules) >= 8
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported = {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported = {node.module.split(".")[0]}
+            else:
+                imported = set()
+            assert not imported & {"csv", "pathlib"}, f"{path.name} imports {imported}"
+            if isinstance(node, ast.Call):
+                called = getattr(node.func, "id", getattr(node.func, "attr", None))
+                assert called != "open", f"{path.name} calls open"
+
+
 @pytest.mark.parametrize("config", sorted(CONFIGS.glob("*.json")), ids=lambda path: path.stem)
 def test_shipped_config_runs(config, tmp_path, capsys):
     """Each shipped config runs as the CI workflow's step runs it, by the
@@ -460,6 +541,9 @@ def test_shipped_config_runs(config, tmp_path, capsys):
     assert {path.name for path in out.iterdir()} == want
     assert main(["mesh-info", str(config), "--dump", str(tmp_path / "mesh")]) == 0
     assert {path.name for path in (tmp_path / "mesh").iterdir()} == {"nodes.csv", "tris.csv"}
+    # one line ending for every file of a run
+    for path in [*out.iterdir(), *(tmp_path / "mesh").iterdir()]:
+        assert b"\r" not in path.read_bytes(), path.name
 
 
 def test_usage_errors_exit_one(capsys):

@@ -1,7 +1,6 @@
 """The descent loop and its two backends."""
 
 import ast
-import csv
 import math
 import warnings
 from pathlib import Path
@@ -33,7 +32,6 @@ from adjoint_cauchy import (
 )
 from adjoint_cauchy import iteration
 from adjoint_cauchy.boundary import BoundaryRing, boundary_inner_product, boundary_norm
-from adjoint_cauchy.iteration import IterationRecord, write_history_csv
 from adjoint_cauchy.spectral import band_coefficients, band_samples, solve_series
 
 R_IN, R_OUT = 1.0, 3.0
@@ -391,20 +389,6 @@ def test_fem_gradient_differentiates_discrete_functional():
         assert abs(fd - pred) <= 1e-6 * max(abs(fd), 1e-12)
 
 
-def test_write_history_csv(tmp_path):
-    history = [
-        IterationRecord(0, 0.5, 0.25, 1.5, 1, 1, 0),
-        IterationRecord(1, 1e-7, float("nan"), float("nan"), 2, 1, 0),
-    ]
-    path = write_history_csv(history, tmp_path / "history.csv")
-    with path.open(newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    assert [r["k"] for r in rows] == ["0", "1"]
-    assert float(rows[0]["J"]) == 0.5
-    assert float(rows[0]["rho"]) == 1.5
-    assert math.isnan(float(rows[1]["rho"]))
-
-
 def test_data_and_stop_validation():
     ring_in = BoundaryRing("inner", 1.0, 16)
     ring_out = BoundaryRing("outer", 3.0, 16)
@@ -416,6 +400,11 @@ def test_data_and_stop_validation():
         StopRule(j_tol=0.0)
     with pytest.raises(ValueError):
         StopRule(grad_eps=-1.0)
+    # an infinite threshold would stop every run at once
+    with pytest.raises(ValueError, match="j_tol"):
+        StopRule(j_tol=math.inf)
+    with pytest.raises(ValueError, match="grad_eps"):
+        StopRule(grad_eps=math.inf)
     with pytest.raises(ValueError):
         StopRule(max_iters=0)
     for max_iters in (2.5, 2.0, True):
@@ -424,6 +413,17 @@ def test_data_and_stop_validation():
     for r_inner, r_outer in ((3.0, 1.0), (1.0, 1.0), (0.0, 3.0)):
         with pytest.raises(ValueError, match="radii"):
             SpectralBackend(r_inner, r_outer, n_angular=16)
+    # finite data too large to solve: the square norm of u_bar overflows, on
+    # either backend, and so does that of a start of 1e160
+    fem = FemBackend(generate_mesh(AnnulusSpec(R_IN, R_OUT, 3, 16)))
+    for backend in (fem, SpectralBackend(R_IN, R_OUT, n_angular=16)):
+        for amplitude in (1e307, 1e300, 1e160):
+            with pytest.raises(ValueError, match="u_bar has a non-finite square norm"):
+                cauchy_data([HarmonicTerm(amplitude, 2, "cos")], backend.outer_ring)
+        data = cauchy_data(builtin_terms("example2"), backend.outer_ring)
+        start = BoundaryFunction(backend.inner_ring, np.full(16, 1e160))
+        with pytest.raises(ValueError, match="omega0 has a non-finite square norm"):
+            run(backend, data, Constant(1.0 / 3.0), omega0=start)
 
 
 def test_run_rejects_foreign_start(spectral, ex1, fem_default):
@@ -442,11 +442,15 @@ def test_run_rejects_foreign_start(spectral, ex1, fem_default):
                 run(backend, data, Constant(0.3), omega0=start)
 
 
-def test_non_finite_functional_is_divergence(spectral, ex2):
-    # a start of order 1e160 is finite, but its misfit's square overflows
-    start = BoundaryFunction(spectral.inner_ring, np.full(spectral.inner_ring.size, 1e160))
+def test_non_finite_functional_is_divergence():
+    """The start c and the data -c each have a finite square norm, 16 c^2,
+    but the functional of their misfit 2c, 2 pi R_OUT (2c)^2, overflows."""
+    backend = SpectralBackend(R_IN, R_OUT, n_angular=16)
+    c = 2e153
+    data = cauchy_data([HarmonicTerm(-c, 0, "cos")], backend.outer_ring)
+    start = BoundaryFunction(backend.inner_ring, np.full(16, c))
     with pytest.raises(DivergenceError, match="functional is not finite at iteration 0"):
-        run(spectral, ex2, Constant(1e-3), StopRule(max_iters=100), omega0=start)
+        run(backend, data, Constant(1e-3), StopRule(max_iters=100), omega0=start)
 
 
 @pytest.mark.parametrize("backend_kind", ["fem", "spectral"])
@@ -485,12 +489,11 @@ def random_band(max_mode, rng):
 
 
 @pytest.mark.parametrize(
-    "n_angular, max_mode", [(8, 3), (9, 4), (16, 7), (17, 8), (160, 64)]
+    "n_angular, max_mode", [(8, 3), (9, 4), (16, 7), (17, 8), (160, 79)]
 )
 def test_prepared_spectral_solves_match_series_oracle(n_angular, max_mode):
     """Per-mode responses reproduce a series solution of the data's own
-    coefficients. The band is every mode the ring resolves, (n - 1) // 2,
-    up to the cap: 160 nodes resolve 79 modes and the backend keeps 64."""
+    coefficients. The band is every mode the ring resolves, (n - 1) // 2."""
     backend = SpectralBackend(R_IN, R_OUT, n_angular=n_angular)
     assert backend.max_mode == max_mode
     inner, outer = backend.inner_ring, backend.outer_ring
@@ -515,15 +518,16 @@ def test_prepared_spectral_solves_match_series_oracle(n_angular, max_mode):
 
 
 def test_prepared_spectral_tail_warning(spectral_160):
-    """Content at mode 70 lies above the band cap of 64 on 160 nodes."""
+    """Content in the Nyquist bin, mode 80 on 160 nodes, lies above the
+    band of 79 modes the ring resolves."""
     backend = spectral_160
     inner, outer = backend.inner_ring, backend.outer_ring
-    tail_in = BoundaryFunction(inner, np.cos(70 * inner.angles))
-    tail_out = BoundaryFunction(outer, np.cos(70 * outer.angles))
+    tail_in = BoundaryFunction(inner, np.cos(80 * inner.angles))
+    tail_out = BoundaryFunction(outer, np.cos(80 * outer.angles))
     band_out = BoundaryFunction(outer, np.cos(outer.angles))
-    with pytest.warns(UserWarning, match="above mode 64"):
+    with pytest.warns(UserWarning, match="above mode 79"):
         backend.solve_primary(tail_in, band_out)
-    with pytest.warns(UserWarning, match="above mode 64"):
+    with pytest.warns(UserWarning, match="above mode 79"):
         backend.solve_primary(BoundaryFunction.zeros(inner), tail_out)
     with warnings.catch_warnings():
         warnings.simplefilter("error")

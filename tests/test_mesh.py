@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from adjoint_cauchy import AnnulusSpec, generate_mesh
-from adjoint_cauchy.mesh import dump_mesh_csv, triangle_areas
+from adjoint_cauchy.mesh import triangle_areas
 
 
 def test_node_and_triangle_counts():
@@ -98,21 +98,3 @@ def test_determinism():
     m2 = generate_mesh(spec)
     assert np.array_equal(m1.nodes, m2.nodes)
     assert np.array_equal(m1.triangles, m2.triangles)
-
-
-def test_dump_csv(tmp_path):
-    mesh = generate_mesh(AnnulusSpec(1.0, 3.0, 1, 4))
-    nodes_path, tris_path = dump_mesh_csv(mesh, tmp_path)
-    nodes = nodes_path.read_text().strip().splitlines()
-    tris = tris_path.read_text().strip().splitlines()
-    assert nodes_path.name == "nodes.csv"
-    assert tris_path.name == "tris.csv"
-    assert nodes[0] == "id,x,y,ring"
-    assert tris[0] == "id,n0,n1,n2"
-    assert len(nodes) == 1 + mesh.n_nodes
-    assert len(tris) == 1 + mesh.n_triangles
-    assert [line.split(",")[3] for line in nodes[1:]] == ["inner"] * 4 + ["outer"] * 4
-    # a ring tag is its level's; levels between the rings carry none
-    nodes_path, _ = dump_mesh_csv(generate_mesh(AnnulusSpec(1.0, 3.0, 2, 4)), tmp_path / "two")
-    tags = [line.split(",")[3] for line in nodes_path.read_text().strip().splitlines()[1:]]
-    assert tags == ["inner"] * 4 + [""] * 4 + ["outer"] * 4

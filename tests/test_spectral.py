@@ -13,13 +13,21 @@ arithmetic at radii (1, 3), where q = 1/3:
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adjoint_cauchy import BoundaryFunction, SpectralBackend, gradient_factor
+from adjoint_cauchy import (
+    BoundaryFunction,
+    HarmonicTerm,
+    SpectralBackend,
+    cauchy_data,
+    exact_inner_trace,
+    gradient_factor,
+)
 from adjoint_cauchy.spectral import (
     band_coefficients,
     band_samples,
@@ -276,10 +284,10 @@ def test_prepared_responses_match_closed_forms(r_inner, r_outer):
     Neumann data (R/m)(1 - q^2m)/(1 + q^2m) (R*log(R/r) at m = 0), and the
     inner gradient of unit Neumann data (R/r)*T_m."""
     backend = SpectralBackend(r_inner, r_outer, n_angular=160)
-    assert backend.max_mode == 64  # the band cap, below the 79 modes 160 nodes resolve
-    m = np.arange(1, 65)
+    assert backend.max_mode == 79  # every mode 160 nodes resolve
+    m = np.arange(1, 80)
     q2m = (r_inner / r_outer) ** (2 * m)
-    t = np.array([trace_factor(j, r_inner, r_outer) for j in range(65)])
+    t = np.array([trace_factor(j, r_inner, r_outer) for j in range(80)])
     neumann_trace = np.concatenate(
         ([r_outer * math.log(r_outer / r_inner)], (r_outer / m) * (1.0 - q2m) / (1.0 + q2m))
     )
@@ -289,3 +297,17 @@ def test_prepared_responses_match_closed_forms(r_inner, r_outer):
         (backend.neumann_gradient, (r_outer / r_inner) * t),
     ):
         assert (np.abs(got - want) <= 1e-14 * np.abs(want)).all()
+
+
+def test_thin_annulus_carries_every_resolvable_mode():
+    """On radii 1 and 1.05, mode 100 reaches the outer circle with
+    T_100 = 0.015, so 400 nodes must carry it: the primary solve of the
+    exact trace reproduces the outer data, with no tail warning."""
+    backend = SpectralBackend(1.0, 1.05, n_angular=400)
+    terms = [HarmonicTerm(1.0, 100, "cos")]
+    data = cauchy_data(terms, backend.outer_ring)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v = backend.solve_primary(exact_inner_trace(terms, backend.inner_ring), data.q_bar)
+    error = np.linalg.norm(v.values - data.u_bar.values) / np.linalg.norm(data.u_bar.values)
+    assert error < 1e-12

@@ -173,6 +173,8 @@ def test_strategy_validation():
         Constant(0.0)
     with pytest.raises(ValueError):
         Constant(-1.0)
+    with pytest.raises(ValueError, match="finite"):
+        Constant(math.inf)
     with pytest.raises(ValueError):
         Armijo(xi=0.0)
     with pytest.raises(ValueError):
@@ -201,10 +203,15 @@ def test_strategy_validation():
         ModeSweep(0, 2, "sideways")
     with pytest.raises(ValueError):
         ModeSweep(0, 2, tail_rho=0.0)
+    with pytest.raises(ValueError, match="tail"):
+        ModeSweep(0, 2, tail_rho=math.inf)
     with pytest.raises(ValueError):
         ExplicitSchedule(())
     with pytest.raises(ValueError):
         ExplicitSchedule((1.0, -1.0))
-    with pytest.raises(ValueError, match="tail"):
-        ExplicitSchedule((1.0,), tail_rho=0.0)
+    with pytest.raises(ValueError, match="scheduled"):
+        ExplicitSchedule((math.inf,))
+    for tail in (0.0, math.inf):
+        with pytest.raises(ValueError, match="tail"):
+            ExplicitSchedule((1.0,), tail_rho=tail)
     assert ExplicitSchedule([1.0, 0.5]).rhos == (1.0, 0.5)
