@@ -22,6 +22,7 @@ underflow), 3 oracle tolerance breach.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import inspect
 import itertools
@@ -229,14 +230,25 @@ def _strategy(obj: Any, context: str = "strategy") -> StepStrategy:
     return _build(STRATEGY_KINDS[kind], fields, context)
 
 
+@contextlib.contextmanager
+def _mesh_arrays():
+    """Report a mesh too large to build as a config error: numpy raises
+    ``ValueError`` for an array size it refuses, such as 8x1e300."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"mesh: {exc}") from exc
+
+
 def _backend(cfg: dict):
     name = cfg.get("backend", "fem")
-    if name == "fem":
-        return FemBackend(generate_mesh(_mesh_spec(cfg)))
-    if name == "spectral":
-        spec = _mesh_spec(cfg)
+    if name not in ("fem", "spectral"):
+        raise ConfigError(f"unknown backend {name!r}; expected 'fem' or 'spectral'")
+    spec = _mesh_spec(cfg)
+    with _mesh_arrays():
+        if name == "fem":
+            return FemBackend(generate_mesh(spec))
         return SpectralBackend(spec.r_inner, spec.r_outer, n_angular=spec.n_angular)
-    raise ConfigError(f"unknown backend {name!r}; expected 'fem' or 'spectral'")
 
 
 def _prepare(cfg: dict, out_override: str | None) -> tuple:
@@ -479,8 +491,9 @@ def cmd_oracle_check(cfg: dict) -> int:
 
 def cmd_mesh_info(cfg: dict, dump: str | None) -> int:
     spec = _mesh_spec(cfg)
-    mesh = generate_mesh(spec)
-    areas = triangle_areas(mesh)
+    with _mesh_arrays():
+        mesh = generate_mesh(spec)
+        areas = triangle_areas(mesh)
     annulus_area = np.pi * (spec.r_outer**2 - spec.r_inner**2)
     print(f"annulus {spec.r_inner:g} < r < {spec.r_outer:g}")
     print(f"resolution {spec.n_radial} radial x {spec.n_angular} angular")

@@ -1,11 +1,12 @@
-"""Separated-variable reference solutions on the annulus.
+"""Separated-variable closed forms on the annulus.
 
 A harmonic field on the annulus r_inner < r < r_outer splits into angular
 modes exp(i*j*theta) with radial parts alpha*r^|j| + beta*r^-|j| (for
 j = 0: alpha + beta*log r). Everything the descent iteration does to the
-inner-trace error is diagonal in this basis, which yields closed forms
-used both as a fast solver backend, ``SpectralBackend``, and as the oracle
-the finite element backend is verified against.
+inner-trace error is diagonal in this basis, which yields closed forms per
+mode: the factors below, against which ``cli.oracle_check`` verifies the
+finite element backend, and the three maps of the fast solver backend
+``SpectralBackend``.
 
 Conventions. A function f on a circle of radius R is written
 f(theta) = sum_j a_j exp(i*j*theta) with a_{-j} = conj(a_j) for real data,
@@ -15,11 +16,11 @@ format. The outward normal on the inner circle points toward the origin,
 so the outward normal derivative there is minus the radial one.
 
 On a ring of n equispaced nodes, ``band_coefficients`` takes the real
-discrete Fourier transform (``rfft``) of the samples and keeps modes
-``0..M``, and ``band_samples`` goes back with one ``irfft``; the round trip
-is the identity on band-limited functions. ``SpectralBackend`` prepares
-its per-mode responses from ``solve_series`` once and solves through that
-pair.
+discrete Fourier transform (``rfft``) of the samples and keeps every mode
+the ring resolves, ``0..(n - 1) // 2``, and ``band_samples`` goes back with
+one ``irfft``; the round trip is the identity on band-limited functions.
+``SpectralBackend`` holds its per-mode maps as closed forms and solves
+through that pair.
 
 Two per-mode factors drive the whole method. With q = r_inner / r_outer
 and m = |j|:
@@ -40,21 +41,18 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from .boundary import BoundaryFunction, BoundaryRing, _require_ring, is_count
 
 __all__ = [
-    "HarmonicSeries",
     "SpectralBackend",
     "band_coefficients",
     "band_samples",
     "trace_factor",
     "gradient_factor",
     "compression_factor",
-    "solve_series",
 ]
 
 Array = np.ndarray
@@ -114,79 +112,6 @@ def compression_factor(
     return max(abs(1.0 - rho * c_lo), abs(1.0 - rho * c_hi))
 
 
-@dataclass(frozen=True)
-class HarmonicSeries:
-    """Harmonic field on the annulus as per-mode radial coefficients.
-
-    Entry j of ``a`` and ``b`` (modes 0..M, ``rfft`` layout) stands for
-    a_j*(r/r_outer)^j + b_j*(r_inner/r)^j, and entry 0 for
-    a_0 + b_0*log(r/r_outer). The scaled basis keeps every evaluation on
-    r_inner <= r <= r_outer free of large powers.
-    """
-
-    a: np.ndarray
-    b: np.ndarray
-    r_inner: float
-    r_outer: float
-
-    def _check_radius(self, radius: float) -> None:
-        if not (self.r_inner <= radius <= self.r_outer):
-            raise ValueError("evaluation radius lies outside the annulus")
-
-    def _powers(self, radius: float) -> tuple[np.ndarray, np.ndarray]:
-        m = np.arange(self.a.size)
-        return (radius / self.r_outer) ** m, (self.r_inner / radius) ** m
-
-    def trace(self, radius: float) -> np.ndarray:
-        """Fourier coefficients of the field restricted to ``radius``."""
-        self._check_radius(radius)
-        grow, decay = self._powers(radius)
-        out = self.a * grow + self.b * decay
-        out[0] = self.a[0] + self.b[0] * math.log(radius / self.r_outer)
-        return out
-
-    def radial_derivative(self, radius: float) -> np.ndarray:
-        """Fourier coefficients of d/dr of the field at ``radius``."""
-        self._check_radius(radius)
-        grow, decay = self._powers(radius)
-        out = (np.arange(self.a.size) / radius) * (self.a * grow - self.b * decay)
-        out[0] = self.b[0] / radius
-        return out
-
-
-def solve_series(
-    neumann_outer: np.ndarray,
-    dirichlet_inner: np.ndarray,
-    r_inner: float,
-    r_outer: float,
-) -> HarmonicSeries:
-    """Harmonic field with radial derivative ``neumann_outer`` on the outer
-    circle and trace ``dirichlet_inner`` on the inner one.
-
-    Both data are coefficient arrays of modes 0..M in ``rfft`` layout on
-    their own circle; the result solves each mode's two-point radial
-    problem in closed form.
-    """
-    _check_radii(r_inner, r_outer)
-    g = np.asarray(neumann_outer, dtype=complex)
-    w = np.asarray(dirichlet_inner, dtype=complex)
-    if g.ndim != 1 or g.size == 0 or g.shape != w.shape:
-        raise ValueError("Neumann and Dirichlet data must both hold modes 0..M")
-
-    q = r_inner / r_outer
-    m = np.arange(g.size)
-    # mode m > 0: field = A*(r/r_outer)^m + B*(r_inner/r)^m
-    #   d/dr at r_outer:  A*m/r_outer - B*(m/r_outer)*q^m = g
-    #   value at r_inner: A*q^m + B = w
-    qm = q**m
-    a = (g * r_outer / np.maximum(m, 1) + w * qm) / (1.0 + qm * qm)
-    b = w - a * qm
-    # mode 0: field = A + B*log(r/r_outer); d/dr at r_outer gives B/r_outer
-    b[0] = g[0] * r_outer
-    a[0] = w[0] - b[0] * math.log(q)
-    return HarmonicSeries(a, b, r_inner, r_outer)
-
-
 def _require_resolvable(max_mode: int, n: int) -> None:
     resolvable = (n - 1) // 2
     if max_mode < 0:
@@ -197,18 +122,18 @@ def _require_resolvable(max_mode: int, n: int) -> None:
         )
 
 
-def band_coefficients(values: Array, max_mode: int, *, warn_tail: bool = True) -> Array:
-    """Coefficients a_0..a_max_mode of samples at n equispaced angles 2*pi*k/n.
+def band_coefficients(values: Array, *, warn_tail: bool = True) -> Array:
+    """Coefficients a_0..a_M of samples at n equispaced angles 2*pi*k/n, for
+    every mode the samples resolve: M = (n - 1) // 2.
 
-    A ring of n nodes resolves modes up to (n - 1) // 2; asking beyond that
-    raises, while sample content above the returned band (including the
-    even-n Nyquist bin) is discarded with a warning when it is significant.
-    ``warn_tail=False`` suppresses the warning; callers that transform data
-    which is band-limited by construction (so any tail is roundoff) use it
-    to avoid false alarms on all-noise signals.
+    On even n the Nyquist bin, mode n/2, lies above that band; its content
+    is discarded with a warning when it is significant. ``warn_tail=False``
+    suppresses the warning; callers that transform data which is
+    band-limited by construction (so any tail is roundoff) use it to avoid
+    false alarms on all-noise signals.
     """
     n = values.size
-    _require_resolvable(max_mode, n)
+    max_mode = (n - 1) // 2
     spectrum = np.fft.rfft(values) / n
     spectrum[0] = spectrum[0].real
     if warn_tail:
@@ -233,13 +158,15 @@ class SpectralBackend:
     """Fourier-space solves on nominal rings of equispaced nodes.
 
     The band is modes ``0..max_mode``, every mode the rings resolve:
-    ``max_mode = (n_angular - 1) // 2``. At construction, ``solve_series``
-    is run once on unit coefficients to get, for the band in ``rfft``
-    layout, the outer trace of unit Dirichlet data (``dirichlet_trace``)
-    and of unit Neumann data (``neumann_trace``), and the inner radial
-    derivative of unit Neumann data (``neumann_gradient``). A solve is then
-    a product per mode between ``band_coefficients`` and ``band_samples``.
-    Data must live on the backend's own rings.
+    ``max_mode = (n_angular - 1) // 2``. Over the band the backend holds
+    three real arrays in closed form, with q = r_inner / r_outer and T_m the
+    ``trace_factor``: the outer trace of unit inner Dirichlet data,
+    ``dirichlet_trace`` = T_m; the outer trace of unit outer Neumann data,
+    ``neumann_trace`` = (R/m)*(1 - q^(2m))/(1 + q^(2m)), and R*log(R/r) at
+    m = 0; and the inner radial derivative of unit outer Neumann data,
+    ``neumann_gradient`` = (R/r)*T_m. A solve is a product per mode between
+    ``band_coefficients`` and ``band_samples``. Data must live on the
+    backend's own rings.
     """
 
     def __init__(self, r_inner: float, r_outer: float, n_angular: int = 160):
@@ -250,30 +177,29 @@ class SpectralBackend:
         self.outer_ring = BoundaryRing("outer", r_outer, n_angular)
         self.max_mode = (n_angular - 1) // 2
 
-        ones, zeros = np.ones(self.max_mode + 1), np.zeros(self.max_mode + 1)
-        from_dirichlet = solve_series(zeros, ones, r_inner, r_outer)
-        from_neumann = solve_series(ones, zeros, r_inner, r_outer)
-        self.dirichlet_trace = from_dirichlet.trace(r_outer)
-        self.neumann_trace = from_neumann.trace(r_outer)
+        m = np.arange(self.max_mode + 1)
+        qm = (r_inner / r_outer) ** m
+        q2m = qm * qm
+        self.dirichlet_trace = 2.0 * qm / (1.0 + q2m)
+        self.neumann_trace = (r_outer / np.maximum(m, 1)) * (1.0 - q2m) / (1.0 + q2m)
+        self.neumann_trace[0] = r_outer * math.log(r_outer / r_inner)
         # gradient = -d/dn on the inner circle = +d/dr there
-        self.neumann_gradient = from_neumann.radial_derivative(r_inner)
+        self.neumann_gradient = (r_outer / r_inner) * self.dirichlet_trace
 
     def solve_primary(
         self, omega: BoundaryFunction, q_bar: BoundaryFunction
     ) -> BoundaryFunction:
         _require_ring(omega, self.inner_ring)
         _require_ring(q_bar, self.outer_ring)
-        modes = self.dirichlet_trace * band_coefficients(omega.values, self.max_mode)
-        modes += self.neumann_trace * band_coefficients(q_bar.values, self.max_mode)
+        modes = self.dirichlet_trace * band_coefficients(omega.values)
+        modes += self.neumann_trace * band_coefficients(q_bar.values)
         return BoundaryFunction(self.outer_ring, band_samples(modes, self.outer_ring.size))
 
     def solve_adjoint(self, neumann: BoundaryFunction) -> BoundaryFunction:
         # the adjoint data 2(v - u_bar) are band-limited up to roundoff noise;
         # unresolvable user data is already diagnosed by solve_primary
         _require_ring(neumann, self.outer_ring)
-        modes = self.neumann_gradient * band_coefficients(
-            neumann.values, self.max_mode, warn_tail=False
-        )
+        modes = self.neumann_gradient * band_coefficients(neumann.values, warn_tail=False)
         return BoundaryFunction(self.inner_ring, band_samples(modes, self.inner_ring.size))
 
     def functional(self, v_trace: BoundaryFunction, u_bar: BoundaryFunction) -> float:
@@ -283,6 +209,6 @@ class SpectralBackend:
         _require_ring(v_trace, self.outer_ring)
         _require_ring(u_bar, self.outer_ring)
         # near convergence the misfit is pure roundoff, so skip the tail warning
-        misfit = band_coefficients(v_trace.values - u_bar.values, self.max_mode, warn_tail=False)
+        misfit = band_coefficients(v_trace.values - u_bar.values, warn_tail=False)
         power = np.abs(misfit) ** 2
         return float(2.0 * math.pi * self.r_outer * (power[0] + 2.0 * power[1:].sum()))

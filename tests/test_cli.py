@@ -316,6 +316,7 @@ def test_command_line_overrides(tmp_path):
         ["--j-tol", "1e999"],
         ["--mesh", "2_7x1_60"],
         ["--mesh", "6x32.5"],
+        ["--mesh", "8x1e300"],
         ["--strategy", "{bad"],
     ],
     ids=lambda override: " ".join(override),
@@ -326,6 +327,7 @@ def test_overrides_pass_the_config_checks(tmp_path, capsys, override):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["run", "compare"])
@@ -452,12 +454,16 @@ def test_oracle_check_cli(tmp_path):
 
 def test_mesh_info(tmp_path, capsys):
     cfg = {"radii": {"inner": 1.0, "outer": 3.0}, "mesh": {"n_radial": 2, "n_angular": 8}}
-    code = main(["mesh-info", write_config(tmp_path, cfg), "--dump", str(tmp_path / "m")])
-    assert code == 0
+    path = write_config(tmp_path, cfg)
+    assert main(["mesh-info", path, "--dump", str(tmp_path / "m")]) == 0
     out = capsys.readouterr().out
     assert "24" in out and "32" in out
     assert (tmp_path / "m" / "nodes.csv").exists()
     assert (tmp_path / "m" / "tris.csv").exists()
+    # numpy refuses this size at once: a config error, not a traceback
+    assert main(["mesh-info", path, "--mesh", "8x1e300", "--dump", str(tmp_path / "big")]) == 1
+    assert capsys.readouterr().err.startswith("error: mesh:")
+    assert not (tmp_path / "big").exists()
 
 
 def test_write_history_csv(tmp_path):

@@ -32,7 +32,6 @@ from adjoint_cauchy import (
 )
 from adjoint_cauchy import iteration
 from adjoint_cauchy.boundary import BoundaryRing, boundary_inner_product, boundary_norm
-from adjoint_cauchy.spectral import band_coefficients, band_samples, solve_series
 
 R_IN, R_OUT = 1.0, 3.0
 J_ZERO = 243.0 * math.pi / 1681.0
@@ -482,39 +481,75 @@ def test_cauchy_data_rejects_non_finite_values():
             CauchyData(good, bad)
 
 
-def random_band(max_mode, rng):
-    """rfft-layout coefficients of a random real band: a_0 real, then a_j."""
-    draws = rng.standard_normal(2 * max_mode + 1)
-    return np.concatenate(([draws[0]], draws[1::2] + 1j * draws[2::2]))
+def harmonic_field(rng, max_mode, r_inner, r_outer, *, zero_inner=False):
+    """A random field from the harmonic family 1, log(r/R), and (r/R)^m and
+    (r_in/r)^m times cos(m*theta) or sin(m*theta) for 1 <= m <= max_mode;
+    the powers are scaled so that none is large on the annulus. With
+    ``zero_inner`` the field vanishes on the inner circle.
+
+    Returns a function of the radius giving the field's trace and radial
+    derivative there, each as a (2, max_mode + 1) array: the cos and the
+    sin coefficient of every mode."""
+    grow, decay = rng.standard_normal((2, 2, max_mode + 1))
+    grow[1, 0] = decay[1, 0] = 0.0  # sin(0 * theta) is no field
+    m = np.arange(max_mode + 1)
+    if zero_inner:
+        decay[:, 1:] = -grow[:, 1:] * (r_inner / r_outer) ** m[1:]
+        grow[0, 0] = -decay[0, 0] * math.log(r_inner / r_outer)
+
+    def at(radius):
+        up, down = (radius / r_outer) ** m, (r_inner / radius) ** m
+        trace = grow * up + decay * down
+        slope = (m / radius) * (grow * up - decay * down)
+        trace[0, 0] = grow[0, 0] + decay[0, 0] * math.log(radius / r_outer)
+        slope[0, 0] = decay[0, 0] / radius
+        return trace, slope
+
+    return at
+
+
+def pointwise(ring, coeffs):
+    """The function with cos and sin coefficients ``coeffs``, evaluated at
+    each node of ``ring``; the phase m*k is reduced modulo n exactly."""
+    m = np.arange(coeffs.shape[1])
+    phase = 2.0 * np.pi * (np.outer(m, np.arange(ring.size)) % ring.size) / ring.size
+    return BoundaryFunction(ring, coeffs[0] @ np.cos(phase) + coeffs[1] @ np.sin(phase))
 
 
 @pytest.mark.parametrize(
     "n_angular, max_mode", [(8, 3), (9, 4), (16, 7), (17, 8), (160, 79)]
 )
 def test_prepared_spectral_solves_match_series_oracle(n_angular, max_mode):
-    """Per-mode responses reproduce a series solution of the data's own
-    coefficients. The band is every mode the ring resolves, (n - 1) // 2."""
-    backend = SpectralBackend(R_IN, R_OUT, n_angular=n_angular)
-    assert backend.max_mode == max_mode
-    inner, outer = backend.inner_ring, backend.outer_ring
+    """The backend's solves and functional against harmonic fields evaluated
+    node by node, on every mode the ring resolves, (n - 1) // 2, and at
+    radius ratios 3, 1.05 (thin annulus) and 8 (where the Neumann maps
+    differ most from the Dirichlet one). The primary solve of a field's
+    inner trace and outer slope is its outer trace; the adjoint solve of
+    the outer slope of a field that vanishes on the inner circle is its
+    inner slope; the functional of two outer traces is the circle's
+    2*pi*R*c_0^2 + pi*R*sum_{m >= 1} (c_m^2 + s_m^2) of their difference."""
     rng = np.random.default_rng(n_angular + max_mode)
-    zero = np.zeros(max_mode + 1)
-    for _ in range(5):
-        w, g, d = (random_band(max_mode, rng) for _ in range(3))
-        omega = BoundaryFunction(inner, band_samples(w, inner.size))
-        q_bar, driver = (BoundaryFunction(outer, band_samples(c, outer.size)) for c in (g, d))
+    for r_inner, r_outer in ((R_IN, R_OUT), (1.0, 1.05), (1.0, 8.0)):
+        backend = SpectralBackend(r_inner, r_outer, n_angular=n_angular)
+        assert backend.max_mode == max_mode
+        inner, outer = backend.inner_ring, backend.outer_ring
+        for _ in range(5):
+            field = harmonic_field(rng, max_mode, r_inner, r_outer)
+            (inner_trace, _), (outer_trace, outer_slope) = field(r_inner), field(r_outer)
+            want = pointwise(outer, outer_trace).values
+            got = backend.solve_primary(pointwise(inner, inner_trace), pointwise(outer, outer_slope))
+            assert np.max(np.abs(got.values - want)) <= 1e-13 * np.max(np.abs(want))
 
-        want = band_samples(solve_series(g, w, R_IN, R_OUT).trace(R_OUT), outer.size)
-        got = backend.solve_primary(omega, q_bar).values
-        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+            vanishing = harmonic_field(rng, max_mode, r_inner, r_outer, zero_inner=True)
+            (_, inner_slope), (other_trace, driver) = vanishing(r_inner), vanishing(r_outer)
+            want = pointwise(inner, inner_slope).values
+            got = backend.solve_adjoint(pointwise(outer, driver)).values
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
-        want = band_samples(solve_series(d, zero, R_IN, R_OUT).radial_derivative(R_IN), inner.size)
-        got = backend.solve_adjoint(driver).values
-        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-
-        power = np.abs(band_coefficients((driver - q_bar).values, max_mode)) ** 2
-        want_j = 2.0 * math.pi * R_OUT * (power[0] + 2.0 * power[1:].sum())
-        assert abs(backend.functional(driver, q_bar) - want_j) <= 1e-13 * want_j
+            misfit = outer_trace - other_trace
+            want_j = math.pi * r_outer * (misfit[0, 0] ** 2 + np.sum(misfit**2))
+            got_j = backend.functional(pointwise(outer, outer_trace), pointwise(outer, other_trace))
+            assert abs(got_j - want_j) <= 1e-13 * want_j
 
 
 def test_prepared_spectral_tail_warning(spectral_160):

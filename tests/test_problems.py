@@ -58,7 +58,7 @@ def test_example2_coefficients():
     assert c[0] == 0.0
     # the same literals from the sampled inner trace
     inner = BoundaryRing("inner", 1.0, 32)
-    sampled = band_coefficients(exact_inner_trace(builtin_terms("example2"), inner).values, 2)
+    sampled = band_coefficients(exact_inner_trace(builtin_terms("example2"), inner).values)[:3]
     assert np.max(np.abs(sampled - [0.0, -0.25 - 1.0j, 0.125])) < 1e-15
 
 
@@ -66,7 +66,7 @@ def test_coefficients_match_sampled_analysis():
     inner = BoundaryRing("inner", 1.0, 32)
     for name in BUILTIN_NAMES:
         terms = builtin_terms(name)
-        sampled = band_coefficients(exact_inner_trace(terms, inner).values, 15)
+        sampled = band_coefficients(exact_inner_trace(terms, inner).values)
         exact = term_coefficients(terms, 1.0, 15)
         assert np.max(np.abs(sampled - exact)) < 1e-12
 

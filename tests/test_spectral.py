@@ -1,4 +1,5 @@
-"""Semi-analytic mode arithmetic on the annulus.
+"""Semi-analytic mode arithmetic on the annulus, and the band transform
+between ring samples and rfft-layout coefficients.
 
 The reference numbers were computed independently with exact rational
 arithmetic at radii (1, 3), where q = 1/3:
@@ -19,6 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.testing import assert_allclose
 
 from adjoint_cauchy import (
     BoundaryFunction,
@@ -28,11 +30,11 @@ from adjoint_cauchy import (
     exact_inner_trace,
     gradient_factor,
 )
+from adjoint_cauchy.boundary import BoundaryRing, boundary_inner_product
 from adjoint_cauchy.spectral import (
     band_coefficients,
     band_samples,
     compression_factor,
-    solve_series,
     trace_factor,
 )
 
@@ -47,8 +49,20 @@ def test_trace_factor_values():
 
 
 def test_trace_factor_even_in_mode():
+    """Mode -j has the factors of mode j; a mode must be a whole number,
+    and the radii must satisfy 0 < r_inner < r_outer."""
     for j in (1, 2, 5, 11):
         assert trace_factor(-j, R_IN, R_OUT) == trace_factor(j, R_IN, R_OUT)
+    assert gradient_factor(np.int64(-2), R_IN, R_OUT) == gradient_factor(2, R_IN, R_OUT)
+    for mode in (2.5, 2.0, True, "2"):
+        for factor in (trace_factor, gradient_factor):
+            with pytest.raises(ValueError, match="whole number"):
+                factor(mode, R_IN, R_OUT)
+    for factor in (trace_factor, gradient_factor):
+        with pytest.raises(ValueError, match="radii"):
+            factor(1, R_OUT, R_IN)
+    with pytest.raises(ValueError, match="radii"):
+        SpectralBackend(R_OUT, R_IN)
 
 
 def test_gradient_factor_values():
@@ -207,7 +221,7 @@ def test_backend_descent_contracts_inside_window(draws, fraction):
     q_bar = BoundaryFunction.zeros(outer)
 
     def error_norm(omega):
-        return norm(band_coefficients((omega_star - omega).values, backend.max_mode, warn_tail=False))
+        return norm(band_coefficients((omega_star - omega).values, warn_tail=False))
 
     omega = BoundaryFunction.zeros(inner)
     floor = 1e-14 * error_norm(omega)
@@ -218,66 +232,23 @@ def test_backend_descent_contracts_inside_window(draws, fraction):
         assert error_norm(omega) <= delta * before * (1.0 + 1e-12) + floor
 
 
-def test_solve_series_single_mode_trace():
-    series = solve_series(np.zeros(3), np.array([0.0, 0.0, 0.5]), R_IN, R_OUT)
-    outer = series.trace(R_OUT)
-    assert math.isclose(outer[2].real, (9.0 / 41.0) * 0.5, rel_tol=1e-14)
-    assert abs(outer[0]) == 0.0
-
-
-def test_solve_series_reproduces_quadratic_harmonic():
-    # flux 6 cos 2t at r = 3 with inner trace cos 2t comes from r^2 cos 2t
-    series = solve_series(np.array([0.0, 0.0, 3.0]), np.array([0.0, 0.0, 0.5]), R_IN, R_OUT)
-    for r in (1.0, 1.7, 3.0):
-        assert math.isclose(series.trace(r)[2].real, 0.5 * r * r, rel_tol=1e-13)
-        assert math.isclose(series.radial_derivative(r)[2].real, r, rel_tol=1e-13)
-
-
-def test_solve_series_zero_data():
-    series = solve_series(np.zeros(4), np.zeros(4), R_IN, R_OUT)
-    assert not series.trace(2.0).any()
-
-
-def test_solve_series_reproduces_boundary_data():
-    rng = np.random.default_rng(7)
-    g, w = random_band(rng, 8), random_band(rng, 8)
-    series = solve_series(g, w, R_IN, R_OUT)
-    inner = series.trace(R_IN)
-    outer_flux = series.radial_derivative(R_OUT)
-    assert (np.abs(inner - w) <= 1e-12 * np.maximum(1.0, np.abs(w))).all()
-    assert (np.abs(outer_flux - g) <= 1e-12 * np.maximum(1.0, np.abs(g))).all()
-
-
-def test_solve_series_radius_validation():
-    with pytest.raises(ValueError):
-        solve_series(np.zeros(3), np.zeros(4), R_IN, R_OUT)
-    with pytest.raises(ValueError):
-        solve_series(np.zeros(3), np.zeros(3), R_OUT, R_IN)
-    series = solve_series(np.zeros(3), np.zeros(3), R_IN, R_OUT)
-    with pytest.raises(ValueError):
-        series.trace(0.5)
-    for mode in (2.5, 2.0, True, "2"):
-        for factor in (trace_factor, gradient_factor):
-            with pytest.raises(ValueError, match="whole number"):
-                factor(mode, R_IN, R_OUT)
-    assert gradient_factor(np.int64(-2), R_IN, R_OUT) == gradient_factor(2, R_IN, R_OUT)
-
-
 def test_gradient_matches_two_solve_composition():
     """Closed-form gradient coefficients -C_j a_j equal the primary/adjoint composition."""
     rng = np.random.default_rng(11)
     mu = random_band(rng, 4)
 
-    primary = solve_series(np.zeros(5), mu, R_IN, R_OUT)
-    adjoint = solve_series(2.0 * primary.trace(R_OUT), np.zeros(5), R_IN, R_OUT)
+    backend = SpectralBackend(R_IN, R_OUT, n_angular=16)
+    outer_trace = outer_trace_of(backend, mu)
     # d/dr at the inner circle equals +C_j a_j; the gradient flips the sign
-    flux = adjoint.radial_derivative(R_IN)
+    flux = band_coefficients(backend.solve_adjoint(2.0 * outer_trace).values)[: mu.size]
 
     grad = -gradient_factors(4) * mu
     assert (np.abs(grad + flux) <= 1e-13 * np.abs(flux)).all()
 
 
-@pytest.mark.parametrize("r_inner, r_outer", [(1.0, 3.0), (2.0, 2.5)])
+@pytest.mark.parametrize(
+    "r_inner, r_outer", [(1.0, 3.0), (2.0, 2.5), (1.0, 1.05), (1.0, 8.0)]
+)
 def test_prepared_responses_match_closed_forms(r_inner, r_outer):
     """The backend's per-mode responses against their closed forms, with
     q = r/R: the outer trace of unit Dirichlet data is T_m, that of unit
@@ -311,3 +282,85 @@ def test_thin_annulus_carries_every_resolvable_mode():
         v = backend.solve_primary(exact_inner_trace(terms, backend.inner_ring), data.q_bar)
     error = np.linalg.norm(v.values - data.u_bar.values) / np.linalg.norm(data.u_bar.values)
     assert error < 1e-12
+
+
+# the band transform between ring samples and rfft-layout coefficients
+
+
+def test_analyze_cos2theta():
+    ring = BoundaryRing("inner", 1.0, 8)
+    c = band_coefficients(np.cos(2 * ring.angles))
+    assert abs(c[2] - 0.5) < 1e-12
+    for j in (0, 1, 3):
+        assert abs(c[j]) < 1e-12
+
+
+def test_analyze_mixed_signal():
+    # 2 sin t - cos(t)/2 + cos(2t)/4: a_1 = -1/4 - i, a_2 = 1/8
+    ring = BoundaryRing("inner", 1.0, 16)
+    th = ring.angles
+    c = band_coefficients(2 * np.sin(th) - 0.5 * np.cos(th) + 0.25 * np.cos(2 * th))
+    assert abs(c[1] - (-0.25 - 1.0j)) < 1e-12
+    assert abs(c[2] - 0.125) < 1e-12
+
+
+def test_analyze_zero_gives_empty():
+    assert not band_coefficients(np.zeros(8)).any()
+
+
+def test_analyze_band_cap():
+    """16 nodes resolve modes 0..7; content in the Nyquist bin, mode 8, is
+    discarded with a warning."""
+    ring = BoundaryRing("outer", 3.0, 16)
+    values = np.cos(8 * ring.angles)
+    with pytest.warns(UserWarning, match="above mode 7"):
+        band_coefficients(values)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        truncated = band_coefficients(values, warn_tail=False)
+    assert truncated.size == 8
+
+
+def test_synthesize_cos2theta():
+    ring = BoundaryRing("inner", 1.0, 8)
+    assert_allclose(band_samples(np.array([0.0, 0.0, 0.5]), 8), np.cos(2 * ring.angles), atol=1e-14)
+
+
+def test_synthesize_empty_is_zero():
+    assert_allclose(band_samples(np.zeros(4), 8), 0.0)
+
+
+def test_synthesize_validation():
+    # 8 nodes resolve modes up to 3
+    with pytest.raises(ValueError):
+        band_samples(np.zeros(6), 8)
+
+
+def test_round_trip_band_limited():
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        c = random_band(rng, 9)
+        back = band_coefficients(band_samples(c, 32))
+        assert np.max(np.abs(back[:10] - c)) <= 1e-12
+        assert np.max(np.abs(back[10:])) <= 1e-12
+
+
+def test_analyze_is_linear():
+    # band-limited inputs so the Nyquist bin stays empty
+    rng = np.random.default_rng(9)
+    f, g = (band_samples(random_band(rng, 7), 16) for _ in range(2))
+    lhs = band_coefficients(2.5 * f - 0.5 * g)
+    rhs = 2.5 * band_coefficients(f) - 0.5 * band_coefficients(g)
+    assert np.max(np.abs(lhs - rhs)) < 1e-12
+
+
+def test_parseval():
+    """Quadrature inner product tracks 2 pi R (|a_0|^2 + 2 sum |a_j|^2) for band-limited data."""
+    ring = BoundaryRing("outer", 3.0, 64)
+    rng = np.random.default_rng(21)
+    c = random_band(rng, 8)
+    f = BoundaryFunction(ring, band_samples(c, ring.size))
+    quad = boundary_inner_product(f, f)
+    power = np.abs(c) ** 2
+    exact = 2.0 * math.pi * ring.radius * (power[0] + 2.0 * power[1:].sum())
+    assert abs(quad - exact) / exact < 5e-3
