@@ -5,15 +5,14 @@ polygon of equispaced nodes, the only rings on which the per-mode theory
 and the ``rfft`` of both backends hold, and a function on a ring is
 stored by nodal value in angle order. A ring is its side, radius and
 size on both backends; it knows no mesh. ``_require_ring`` is the one
-check both backends make that data live on their rings. Ring quadrature
-uses the polygon's one chord length rather than the arc length, so
-boundary integrals are consistent with the piecewise-linear finite
-element space whose nodes sit on the same polygon.
+check both backends make that data live on their rings. Each backend
+owns its boundary quadratures; a ring defines none.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,15 +23,14 @@ __all__ = [
     "BoundaryRing",
     "BoundaryFunction",
     "rings_compatible",
-    "ring_mass_apply",
-    "boundary_inner_product",
-    "boundary_norm",
 ]
 
 
 def is_count(value) -> bool:
-    """True for a whole number given as an int or numpy integer, not a bool."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    """True for a whole number given as an int or numpy integer, not a bool,
+    that a float can hold: a mode becomes the power of a float radius."""
+    whole = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    return whole and -sys.float_info.max <= value <= sys.float_info.max
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,8 +38,8 @@ class BoundaryRing:
     """Closed ring of ``size`` equispaced boundary nodes, node k at angle
     ``2*pi*k/size``.
 
-    ``angles`` and ``chord``, the length of every polygon edge and so the
-    lumped quadrature weight of every node, are derived at construction.
+    ``angles`` and ``chord``, the length of every polygon edge, are
+    derived at construction.
     """
 
     side: str
@@ -113,25 +111,3 @@ def _require_ring(f: BoundaryFunction, ring: BoundaryRing) -> None:
     """The ring check of both backends: ``f`` must live on ``ring``."""
     if not rings_compatible(f.ring, ring):
         raise ValueError(f"data must live on the backend's {ring.side} ring")
-
-
-def ring_mass_apply(ring: BoundaryRing, values: Array) -> Array:
-    """Apply the ring's piecewise-linear mass matrix to nodal values.
-
-    Every edge has length ``chord`` and contributes the local mass
-    chord/6 * [[2, 1], [1, 2]], so the result is the weak-form load of a
-    piecewise-linear line density.
-    """
-    v = np.asarray(values, dtype=float)
-    return ring.chord / 6.0 * (4.0 * v + np.roll(v, 1) + np.roll(v, -1))
-
-
-def boundary_inner_product(f: BoundaryFunction, g: BoundaryFunction) -> float:
-    """Trapezoidal line integral of f*g over the ring polygon."""
-    if not rings_compatible(f.ring, g.ring):
-        raise ValueError("inner product requires functions on the same ring")
-    return f.ring.chord * float(np.dot(f.values, g.values))
-
-
-def boundary_norm(f: BoundaryFunction) -> float:
-    return math.sqrt(boundary_inner_product(f, f))

@@ -6,8 +6,8 @@ Four subcommands work off a single JSON config file:
                    summary.json into the output directory
 * ``compare``      the same run for several strategies; adds compare.csv
                    with one functional-value column per strategy
-* ``oracle-check`` per-mode finite element responses against the
-                   semi-analytic factors, with an optional refinement pass
+* ``oracle-check`` per-mode finite element responses against the spectral
+                   maps, with an optional refinement pass
 * ``mesh-info``    mesh statistics, optionally dumping node/triangle CSVs
 
 Every output file is written here; every CSV goes through ``_write_csv``,
@@ -42,7 +42,7 @@ from .fem import FemBackend, SolverError
 from .iteration import DivergenceError, IterationRecord, RunResult, StopRule, run
 from .mesh import AnnulusMesh, AnnulusSpec, generate_mesh, triangle_areas
 from .problems import HarmonicTerm, builtin_terms, cauchy_data, exact_inner_trace
-from .spectral import SpectralBackend, gradient_factor, trace_factor
+from .spectral import SpectralBackend
 from .steps import (
     Armijo,
     Constant,
@@ -384,15 +384,16 @@ def oracle_check(
     refine: bool = False,
     min_ratio: float = 3.0,
 ) -> list[dict]:
-    """Per-mode finite element responses against the semi-analytic factors.
+    """Per-mode finite element responses against the spectral backend's maps.
 
     Both maps are diagonal in angle, so one impulse solve each gives every
     mode's response: ``Td``, the ``rfft`` of the outer trace of a unit inner
     impulse, and ``Gn``, that of the gradient of a unit outer impulse. Mode
-    j's trace error is ``|Td_j - T_j| / T_j``; its flux error, of the
-    adjoint solve driven by the exact misfit 2 * T_j * cos(j theta), is
-    ``|2 * T_j * Gn_j - C_j| / C_j``. Each map is judged against its own
-    closed form, so the two checks do not pollute one another.
+    j's trace error is ``|Td_j - T_j| / T_j`` and its flux error
+    ``|Gn_j / ((R/r)*T_j) - 1|``, against a ``SpectralBackend``'s two maps;
+    as C_j = 2*(R/r)*T_j^2, the latter is the gradient's error against C_j.
+    Each map is judged against its own closed form, so the two checks do
+    not pollute one another.
 
     With ``refine`` the mesh is doubled in both directions and each error
     must shrink by ``min_ratio``, except errors already at rounding level.
@@ -410,53 +411,40 @@ def oracle_check(
         if not 0 <= mode <= nyquist:
             raise ValueError(f"mode {mode} is not resolvable on a ring of {spec.n_angular} nodes")
 
-    def errors_on(mesh_spec: AnnulusSpec) -> list[tuple[float, float]]:
+    def errors_on(mesh_spec: AnnulusSpec) -> np.ndarray:
+        """The trace and the flux errors of every requested mode, a row each."""
         backend = FemBackend(generate_mesh(mesh_spec))
+        exact = SpectralBackend(mesh_spec.r_inner, mesh_spec.r_outer, mesh_spec.n_angular)
         inner, outer = backend.inner_ring, backend.outer_ring
         impulse = np.zeros(mesh_spec.n_angular)
         impulse[0] = 1.0
         from_inner = backend.solve_primary(
             BoundaryFunction(inner, impulse), BoundaryFunction.zeros(outer)
         )
-        td = np.fft.rfft(from_inner.values)
-        gn = np.fft.rfft(backend.solve_adjoint(BoundaryFunction(outer, impulse)).values)
-        pairs = []
-        for mode in modes:
-            t_factor = trace_factor(mode, mesh_spec.r_inner, mesh_spec.r_outer)
-            c_factor = gradient_factor(mode, mesh_spec.r_inner, mesh_spec.r_outer)
-            trace_err = abs(td[mode] - t_factor) / t_factor
-            flux_err = abs(2.0 * t_factor * gn[mode] - c_factor) / c_factor
-            pairs.append((float(trace_err), float(flux_err)))
-        return pairs
+        picked = list(modes)
+        td = np.fft.rfft(from_inner.values)[picked]
+        gn = np.fft.rfft(backend.solve_adjoint(BoundaryFunction(outer, impulse)).values)[picked]
+        t_factor = exact.dirichlet_trace[picked]
+        flux_err = np.abs(gn / exact.neumann_gradient[picked] - 1.0)
+        return np.array([np.abs(td - t_factor) / t_factor, flux_err])
 
     coarse = errors_on(spec)
     fine = None
     if refine:
-        doubled = AnnulusSpec(
-            spec.r_inner, spec.r_outer, 2 * spec.n_radial, 2 * spec.n_angular
-        )
+        doubled = dataclasses.replace(spec, n_radial=2 * spec.n_radial, n_angular=2 * spec.n_angular)
         fine = errors_on(doubled)
 
     results = []
     for i, mode in enumerate(modes):
-        trace_err, flux_err = coarse[i]
-        entry: dict[str, Any] = {
-            "mode": mode,
-            "trace_error": trace_err,
-            "flux_error": flux_err,
-            "trace_ratio": None,
-            "flux_ratio": None,
-            "tolerance": tolerance,
-        }
-        ok = trace_err <= tolerance and flux_err <= tolerance
-        if fine is not None:
-            fine_trace, fine_flux = fine[i]
-            if trace_err > RATIO_FLOOR:
-                entry["trace_ratio"] = trace_err / fine_trace
-                ok = ok and entry["trace_ratio"] >= min_ratio
-            if flux_err > RATIO_FLOOR:
-                entry["flux_ratio"] = flux_err / fine_flux
-                ok = ok and entry["flux_ratio"] >= min_ratio
+        entry: dict[str, Any] = {"mode": mode, "tolerance": tolerance}
+        ok = True
+        for row, kind in enumerate(("trace", "flux")):
+            error = entry[f"{kind}_error"] = float(coarse[row, i])
+            entry[f"{kind}_ratio"] = None
+            ok = ok and error <= tolerance
+            if fine is not None and error > RATIO_FLOOR:
+                ratio = entry[f"{kind}_ratio"] = error / float(fine[row, i])
+                ok = ok and ratio >= min_ratio
         entry["passed"] = ok
         results.append(entry)
     return results

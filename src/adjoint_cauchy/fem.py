@@ -26,10 +26,10 @@ for a discrete solution whose load vanishes at inner-ring nodes, the
 stiffness residual restricted to those nodes equals the ring mass applied
 to the flux, so dividing by the lumped ring weight, which on the regular
 ring polygon is its one chord length, gives nodal flux values; those rows
-are the other half of ``FemBackend``'s preparation. Together
-with the matching boundary quadratures used for the Neumann load and the
-misfit functional, this makes the adjoint gradient of the discrete
-functional exact up to rounding.
+are the other half of ``FemBackend``'s preparation. With the ring mass
+``ring_mass_apply`` in the Neumann load and the misfit functional, the
+gradient is that of the discrete functional in the chord-weighted inner
+quadrature (``FemBackend.inner_weight``), exact up to rounding.
 
 ``SolverError`` is raised by ``solve_mixed_bvp`` on a field that is not
 finite, as non-finite data give. A run never reaches it: ``CauchyData``
@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .boundary import BoundaryFunction, _require_ring, ring_mass_apply
+from .boundary import BoundaryFunction, BoundaryRing, _require_ring
 from .mesh import QUAD_CORNERS, AnnulusMesh
 
 Array = np.ndarray
@@ -54,6 +54,7 @@ __all__ = [
     "local_stiffness",
     "solve_mixed_bvp",
     "normal_flux",
+    "ring_mass_apply",
 ]
 
 
@@ -78,6 +79,13 @@ def local_stiffness(x: Array, y: Array) -> Array:
         for j in range(i, 3):
             local[i, j] = local[j, i] = (b[i] * b[j] + c[i] * c[j]) / four_area
     return local.transpose(2, 0, 1)
+
+
+def ring_mass_apply(ring: BoundaryRing, values: Array) -> Array:
+    """The ring's P1 mass applied to nodal values, the weak-form load of a
+    line density: every edge adds chord/6 * [[2, 1], [1, 2]]."""
+    v = np.asarray(values, dtype=float)
+    return ring.chord / 6.0 * (4.0 * v + np.roll(v, 1) + np.roll(v, -1))
 
 
 def assemble_stiffness(mesh: AnnulusMesh) -> Array:
@@ -123,7 +131,7 @@ class FemBackend:
     there at angular positions j - 1, j and j + 1, and
     ``flux_weights`` the six weights every inner node shares,
     level 0's stencil entries for those nodes divided by the chord, each
-    node's lumped ring weight.
+    node's lumped ring weight and so the backend's ``inner_weight``.
     """
 
     def __init__(self, mesh: AnnulusMesh):
@@ -153,6 +161,7 @@ class FemBackend:
         self.flux_weights = stencils[0, 1:].ravel() / mesh.inner_ring.chord
         self.inner_ring = mesh.inner_ring
         self.outer_ring = mesh.outer_ring
+        self.inner_weight = mesh.inner_ring.chord
         self.r_inner = mesh.spec.r_inner
         self.r_outer = mesh.spec.r_outer
 

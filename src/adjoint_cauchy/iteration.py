@@ -8,9 +8,8 @@ guess against the recovered gradient:
     omega_{k+1} = omega_k - rho_k * grad_k .
 
 The loop knows a discretisation only through the ``Backend`` protocol:
-two rings, two radii and three operations. The backends live with their
-discretisations, ``fem.FemBackend`` and ``spectral.SpectralBackend``, and
-this module imports neither.
+two rings, two radii, a node weight and three operations. The backends
+live in ``fem`` and ``spectral``, and this module imports neither.
 Each iteration costs exactly one primary and one adjoint solve, so a run
 of k iterations books k + 1 primary and k adjoint solves; line-search
 trials are counted separately so solver budgets of different step
@@ -32,7 +31,7 @@ from typing import Protocol
 import numpy as np
 
 from . import steps as step_rules
-from .boundary import BoundaryFunction, BoundaryRing, boundary_norm, is_count, rings_compatible
+from .boundary import BoundaryFunction, BoundaryRing, is_count, rings_compatible
 
 __all__ = [
     "CauchyData",
@@ -156,13 +155,15 @@ class Backend(Protocol):
     data to the outer trace, ``solve_adjoint`` maps outer Neumann data to
     the descent gradient on the inner ring, and ``functional`` measures a
     misfit on the outer ring. Each checks that its data live on the
-    backend's rings.
+    backend's rings. In the inner-ring quadrature of node weight
+    ``inner_weight`` the gradient is the Riesz gradient of the functional.
     """
 
     r_inner: float
     r_outer: float
     inner_ring: BoundaryRing
     outer_ring: BoundaryRing
+    inner_weight: float
 
     def solve_primary(
         self, omega: BoundaryFunction, q_bar: BoundaryFunction
@@ -252,7 +253,7 @@ def run(
 
         grad = backend.solve_adjoint(2.0 * (v_trace - data.u_bar))
         counters.adjoint += 1
-        grad_norm = boundary_norm(grad)
+        grad_norm = math.sqrt(backend.inner_weight * float(np.dot(grad.values, grad.values)))
         if grad_norm < stop.grad_eps:
             history.append(_record(k, j_value, grad_norm, math.nan, counters))
             converged, reason = True, "grad_eps"

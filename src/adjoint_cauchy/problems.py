@@ -37,7 +37,9 @@ class HarmonicTerm:
 
     def __post_init__(self):
         if not is_count(self.mode) or self.mode < 0:
-            raise ValueError(f"term mode must be a nonnegative whole number, got {self.mode!r}")
+            raise ValueError(
+                f"term mode must be a nonnegative whole number a float holds, got {self.mode!r}"
+            )
         if self.kind not in ("cos", "sin"):
             raise ValueError("term kind must be 'cos' or 'sin'")
         if self.kind == "sin" and self.mode == 0:
@@ -73,12 +75,13 @@ def _evaluate(
 ) -> np.ndarray:
     out = np.zeros_like(angles)
     for term in terms:
-        if radial_derivative:
-            if term.mode == 0:
-                continue
-            coef = term.amplitude * term.mode * radius ** (term.mode - 1)
-        else:
-            coef = term.amplitude * radius**term.mode
+        if radial_derivative and term.mode == 0:
+            continue
+        try:
+            power = radius ** (term.mode - 1 if radial_derivative else term.mode)
+        except OverflowError:
+            raise ValueError(f"a term of mode {term.mode} overflows at radius {radius:g}") from None
+        coef = term.amplitude * term.mode * power if radial_derivative else term.amplitude * power
         trig = np.cos if term.kind == "cos" else np.sin
         out += coef * trig(term.mode * angles)
     return out

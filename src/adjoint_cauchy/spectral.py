@@ -4,9 +4,9 @@ A harmonic field on the annulus r_inner < r < r_outer splits into angular
 modes exp(i*j*theta) with radial parts alpha*r^|j| + beta*r^-|j| (for
 j = 0: alpha + beta*log r). Everything the descent iteration does to the
 inner-trace error is diagonal in this basis, which yields closed forms per
-mode: the factors below, against which ``cli.oracle_check`` verifies the
-finite element backend, and the three maps of the fast solver backend
-``SpectralBackend``.
+mode: the factors below and the three maps of the fast solver backend
+``SpectralBackend``, against which ``cli.oracle_check`` verifies the
+finite element backend.
 
 Conventions. A function f on a circle of radius R is written
 f(theta) = sum_j a_j exp(i*j*theta) with a_{-j} = conj(a_j) for real data,
@@ -20,7 +20,8 @@ discrete Fourier transform (``rfft``) of the samples and keeps every mode
 the ring resolves, ``0..(n - 1) // 2``, and ``band_samples`` goes back with
 one ``irfft``; the round trip is the identity on band-limited functions.
 ``SpectralBackend`` holds its per-mode maps as closed forms and solves
-through that pair.
+through that pair, in the circle's quadrature: an inner node weighs the
+arc ``2*pi*r_inner/n``, which gives a band-limited function its L2 norm.
 
 Two per-mode factors drive the whole method. With q = r_inner / r_outer
 and m = |j|:
@@ -69,14 +70,14 @@ def _check_radii(r_inner: float, r_outer: float) -> None:
 def _check_mode(mode: int) -> int:
     """|mode|: mode -j has the factors of mode j."""
     if not is_count(mode):
-        raise ValueError(f"mode must be a whole number, got {mode!r}")
+        raise ValueError(f"mode must be a whole number a float holds, got {mode!r}")
     return abs(int(mode))
 
 
 def _require_band(mode_min: int, mode_max: int) -> None:
     if not (is_count(mode_min) and is_count(mode_max) and 0 <= mode_min <= mode_max):
         raise ValueError(
-            "band must be whole numbers with 0 <= mode_min <= mode_max, "
+            "band must be whole numbers a float holds with 0 <= mode_min <= mode_max, "
             f"got {mode_min!r}, {mode_max!r}"
         )
 
@@ -166,7 +167,7 @@ class SpectralBackend:
     m = 0; and the inner radial derivative of unit outer Neumann data,
     ``neumann_gradient`` = (R/r)*T_m. A solve is a product per mode between
     ``band_coefficients`` and ``band_samples``. Data must live on the
-    backend's own rings.
+    backend's own rings. ``inner_weight`` is the arc per inner node.
     """
 
     def __init__(self, r_inner: float, r_outer: float, n_angular: int = 160):
@@ -175,6 +176,7 @@ class SpectralBackend:
         self.r_outer = r_outer
         self.inner_ring = BoundaryRing("inner", r_inner, n_angular)
         self.outer_ring = BoundaryRing("outer", r_outer, n_angular)
+        self.inner_weight = 2.0 * math.pi * r_inner / n_angular
         self.max_mode = (n_angular - 1) // 2
 
         m = np.arange(self.max_mode + 1)

@@ -26,7 +26,6 @@ from adjoint_cauchy import (
     gradient_factor,
     run,
 )
-from adjoint_cauchy.boundary import boundary_inner_product
 from adjoint_cauchy.spectral import compression_factor
 from adjoint_cauchy.cli import oracle_check
 
@@ -210,27 +209,39 @@ def test_criterion_8_monotone_contraction_window():
     )
 
 
+# the random traces carry the Nyquist bin of the even rings, which the
+# spectral backend drops from the trace and its band-limited gradient does not see
+@pytest.mark.filterwarnings("ignore:ring data has significant content")
 def test_criterion_9_fd_gradient_check():
-    backend = FemBackend(generate_mesh(AnnulusSpec(R_IN, R_OUT, 12, 64)))
-    data = cauchy_data(builtin_terms("example2"), backend.outer_ring)
-    rng = np.random.default_rng(99)
-    n = backend.inner_ring.size
-    omega = BoundaryFunction(backend.inner_ring, 0.5 * rng.standard_normal(n))
+    """On each backend the adjoint gradient, weighted by the backend's inner
+    node weight, is the derivative of its own functional."""
+    backends = {
+        "spectral 16": SpectralBackend(R_IN, R_OUT, n_angular=16),
+        "spectral 160": SpectralBackend(R_IN, R_OUT, n_angular=160),
+        "FEM 12x64": FemBackend(generate_mesh(AnnulusSpec(R_IN, R_OUT, 12, 64))),
+    }
+    worst = {}
+    for name, backend in backends.items():
+        data = cauchy_data(builtin_terms("example2"), backend.outer_ring)
+        rng = np.random.default_rng(99)
+        n = backend.inner_ring.size
+        omega = BoundaryFunction(backend.inner_ring, 0.5 * rng.standard_normal(n))
 
-    def functional_at(trace):
-        return backend.functional(backend.solve_primary(trace, data.q_bar), data.u_bar)
+        def functional_at(trace):
+            return backend.functional(backend.solve_primary(trace, data.q_bar), data.u_bar)
 
-    v = backend.solve_primary(omega, data.q_bar)
-    g = backend.solve_adjoint(2.0 * (v - data.u_bar))
-    h = 1e-5
-    worst = 0.0
-    for _ in range(10):
-        d = BoundaryFunction(backend.inner_ring, rng.standard_normal(n))
-        jp = functional_at(omega + h * d)
-        jm = functional_at(omega - h * d)
-        fd = (jp - jm) / (2 * h)
-        pred = boundary_inner_product(g, d)
-        rel = abs(fd - pred) / max(abs(fd), 1e-300)
-        worst = max(worst, rel)
-    ok = worst <= 1e-6
-    _report("criterion 9 (adjoint vs finite differences)", ok, f"worst relative mismatch over 10 directions: {worst:.3e}")
+        v = backend.solve_primary(omega, data.q_bar)
+        g = backend.solve_adjoint(2.0 * (v - data.u_bar))
+        h = 1e-5
+        worst[name] = 0.0
+        for _ in range(10):
+            d = BoundaryFunction(backend.inner_ring, rng.standard_normal(n))
+            jp = functional_at(omega + h * d)
+            jm = functional_at(omega - h * d)
+            fd = (jp - jm) / (2 * h)
+            pred = backend.inner_weight * float(np.dot(g.values, d.values))
+            rel = abs(fd - pred) / max(abs(fd), 1e-300)
+            worst[name] = max(worst[name], rel)
+    ok = max(worst.values()) <= 1e-6
+    detail = ", ".join(f"{name} {value:.3e}" for name, value in worst.items())
+    _report("criterion 9 (adjoint vs finite differences)", ok, f"worst relative mismatch over 10 directions: {detail}")

@@ -1,4 +1,4 @@
-"""Boundary rings, nodal functions, and the trapezoid inner product."""
+"""Boundary rings, nodal functions, and the polygon each ring is."""
 
 import math
 
@@ -6,14 +6,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from adjoint_cauchy import BoundaryFunction
-from adjoint_cauchy.boundary import (
-    BoundaryRing,
-    boundary_inner_product,
-    boundary_norm,
-    ring_mass_apply,
-    rings_compatible,
-)
+from adjoint_cauchy import AnnulusSpec, BoundaryFunction, FemBackend, generate_mesh
+from adjoint_cauchy.boundary import BoundaryRing, rings_compatible
 
 
 def test_ring_angles_are_equispaced():
@@ -54,72 +48,17 @@ def test_chord_lengths_regular_polygon():
 
 
 def test_lumped_weights_sum_to_perimeter():
-    """Every node's trapezoid weight is the chord; together they make the
-    inscribed 64-gon's perimeter."""
-    ring = BoundaryRing("inner", 1.0, 64)
-    one = BoundaryFunction(ring, np.ones(64))
-    assert math.isclose(boundary_inner_product(one, one), 6.280662313909506, rel_tol=1e-15)
-    assert ring.chord > 0
-
-
-def test_mass_apply_matches_dense_assembly():
-    """Cyclic assembly of the h/6 * [[2, 1], [1, 2]] edge blocks."""
-    ring = BoundaryRing("inner", 2.0, 5)
-    h = ring.chord
-    n = ring.size
-    dense = np.zeros((n, n))
-    for e in range(n):
-        a, b = e, (e + 1) % n
-        dense[a, a] += 2 * h / 6
-        dense[b, b] += 2 * h / 6
-        dense[a, b] += h / 6
-        dense[b, a] += h / 6
-    rng = np.random.default_rng(3)
-    for _ in range(5):
-        v = rng.standard_normal(n)
-        assert_allclose(ring_mass_apply(ring, v), dense @ v, rtol=1e-13, atol=1e-13)
+    """The finite element backend weighs every inner node by the chord;
+    together the weights make the inscribed 64-gon's perimeter."""
+    backend = FemBackend(generate_mesh(AnnulusSpec(1.0, 3.0, 2, 64)))
+    assert backend.inner_weight == backend.inner_ring.chord > 0
+    assert math.isclose(64 * backend.inner_weight, 6.280662313909506, rel_tol=1e-15)
 
 
 def test_inner_product_constant_is_polygon_perimeter():
     # square inscribed in the unit circle: 4 * sqrt(2)
     ring = BoundaryRing("inner", 1.0, 4)
-    one = BoundaryFunction(ring, np.ones(4))
-    assert math.isclose(boundary_inner_product(one, one), 5.65685424949238, rel_tol=1e-15)
-
-
-def test_inner_product_orthogonality():
-    ring = BoundaryRing("inner", 1.0, 64)
-    f = BoundaryFunction(ring, np.cos(ring.angles))
-    g = BoundaryFunction(ring, np.sin(ring.angles))
-    assert abs(boundary_inner_product(f, g)) < 1e-10
-
-
-def test_inner_product_cos_squared_near_pi():
-    ring = BoundaryRing("inner", 1.0, 64)
-    f = BoundaryFunction(ring, np.cos(2 * ring.angles))
-    value = boundary_inner_product(f, f)
-    assert abs(value - math.pi) / math.pi < 1e-3
-
-
-def test_inner_product_symmetric_bilinear():
-    ring = BoundaryRing("outer", 3.0, 32)
-    rng = np.random.default_rng(12)
-    for _ in range(10):
-        f = BoundaryFunction(ring, rng.standard_normal(32))
-        g = BoundaryFunction(ring, rng.standard_normal(32))
-        h = BoundaryFunction(ring, rng.standard_normal(32))
-        s = float(rng.uniform(-2, 2))
-        fg = boundary_inner_product(f, g)
-        assert math.isclose(fg, boundary_inner_product(g, f), rel_tol=1e-13, abs_tol=1e-13)
-        lhs = boundary_inner_product(s * f + h, g)
-        assert math.isclose(lhs, s * fg + boundary_inner_product(h, g), rel_tol=1e-12, abs_tol=1e-12)
-
-
-def test_inner_product_ring_mismatch():
-    f = BoundaryFunction.zeros(BoundaryRing("inner", 1.0, 8))
-    g = BoundaryFunction.zeros(BoundaryRing("outer", 3.0, 8))
-    with pytest.raises(ValueError):
-        boundary_inner_product(f, g)
+    assert math.isclose(ring.size * ring.chord, 5.65685424949238, rel_tol=1e-15)
 
 
 def test_function_arithmetic():
@@ -146,6 +85,9 @@ def test_function_shape_validation():
 
 
 def test_boundary_norm_constant():
-    ring = BoundaryRing("outer", 3.0, 160)
-    one = BoundaryFunction(ring, np.ones(ring.size))
-    assert math.isclose(boundary_norm(one), math.sqrt(18.84834476220317), rel_tol=1e-15)
+    """The norm ``run`` reports for a constant on a finite element inner
+    ring of radius 3 is the root of the inscribed 160-gon's perimeter."""
+    backend = FemBackend(generate_mesh(AnnulusSpec(3.0, 4.0, 2, 160)))
+    one = np.ones(backend.inner_ring.size)
+    norm = math.sqrt(backend.inner_weight * float(np.dot(one, one)))
+    assert math.isclose(norm, math.sqrt(18.84834476220317), rel_tol=1e-15)

@@ -187,6 +187,10 @@ ORACLE = {
 }
 
 
+# a 401-digit whole number: no float can hold it
+HUGE = 10**400
+
+
 def one_term(**fields):
     return {"terms": [{"amplitude": 1.0, "mode": 2, "kind": "cos", **fields}]}
 
@@ -219,6 +223,19 @@ def oracle_with(**fields):
             dict(BASE, strategy={"kind": "optimal", "mode_min": False, "mode_max": 2}),
             id="optimal-mode_min-false",
         ),
+        # whole numbers no float can hold, and a term whose r^mode overflows
+        pytest.param(
+            "run",
+            dict(BASE, strategy={"kind": "optimal", "mode_min": 0, "mode_max": HUGE}),
+            id="optimal-mode_max-huge",
+        ),
+        pytest.param(
+            "run",
+            dict(BASE, strategy={"kind": "sweep", "mode_min": 0, "mode_max": HUGE}),
+            id="sweep-mode_max-huge",
+        ),
+        pytest.param("run", dict(BASE, data=one_term(mode=HUGE)), id="term-mode-huge"),
+        pytest.param("run", dict(BASE, data=one_term(mode=1000)), id="term-mode-1000"),
         pytest.param("oracle-check", dict(ORACLE, oracle={"modes": [True]}), id="oracle-mode-true"),
         pytest.param("oracle-check", dict(ORACLE, oracle={"modes": [1.5]}), id="oracle-mode-1.5"),
         pytest.param("oracle-check", dict(ORACLE, oracle={"refine": "no"}), id="refine-str"),
@@ -331,15 +348,23 @@ def test_overrides_pass_the_config_checks(tmp_path, capsys, override):
 
 
 @pytest.mark.parametrize("command", ["run", "compare"])
-def test_bad_config_leaves_no_output_directory(tmp_path, command):
-    cfg = dict(
-        BASE,
-        strategies=[BASE["strategy"], {"kind": "constant", "rho": "1/3"}],
-        stop={"max_iters": 0},
-        output_dir=str(tmp_path / "out"),
-    )
-    assert main([command, write_config(tmp_path, cfg)]) == 1
-    assert not (tmp_path / "out").exists()
+def test_bad_config_leaves_no_output_directory(tmp_path, capsys, command):
+    huge_band = {"kind": "sweep", "mode_min": 0, "mode_max": HUGE}
+    for bad, context in (
+        ({"stop": {"max_iters": 0}}, "stop"),
+        # run names the section "strategy", compare "strategies[1]"
+        ({"strategy": huge_band, "strategies": [BASE["strategy"], huge_band]}, "strateg"),
+        ({"data": one_term(mode=HUGE)}, "data"),
+    ):
+        cfg = {
+            **BASE,
+            "strategies": [BASE["strategy"], {"kind": "constant", "rho": "1/3"}],
+            "output_dir": str(tmp_path / "out"),
+            **bad,
+        }
+        assert main([command, write_config(tmp_path, cfg)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {context}")
+        assert not (tmp_path / "out").exists()
 
 
 def assert_not_defaults(obj):
@@ -429,12 +454,29 @@ def test_compare_requires_two_strategies(tmp_path):
     assert main(["compare", write_config(tmp_path, cfg)]) == 1
 
 
+# (trace error, flux error, trace ratio, flux ratio) of modes 1-3 at 27x160
+# with refinement, against the paper's factors T_j and C_j
+ORACLE_27X160 = {
+    1: (9.169729563461109e-04, 6.597493856140301e-04, 3.996360554071303, 3.9940249316026506),
+    2: (3.716774529815325e-03, 2.685399915704172e-03, 3.9949289927396836, 3.989327004512854),
+    3: (9.143684205544386e-03, 6.812043243633169e-03, 3.9952049273269816, 3.985488666209047),
+}
+
+
 def test_oracle_check_function():
     spec = AnnulusSpec(1.0, 3.0, 6, 32)
     results = oracle_check(spec, modes=(0, 1), tolerance=0.05)
     assert all(r["passed"] for r in results)
     # the constant mode is reproduced exactly by the discrete operator
     assert results[0]["trace_error"] < 1e-10
+
+    results = oracle_check(AnnulusSpec(1.0, 3.0, 27, 160), modes=(0, 1, 2, 3), refine=True)
+    assert [r["mode"] for r in results] == [0, 1, 2, 3]
+    assert results[0]["trace_error"] < 1e-12 and results[0]["flux_error"] < 1e-12
+    assert results[0]["trace_ratio"] is None and results[0]["flux_ratio"] is None
+    for entry in results[1:]:
+        got = [entry[key] for key in ("trace_error", "flux_error", "trace_ratio", "flux_ratio")]
+        assert got == pytest.approx(ORACLE_27X160[entry["mode"]], rel=1e-9)
 
 
 def test_oracle_check_cli(tmp_path):

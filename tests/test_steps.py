@@ -185,7 +185,7 @@ def test_strategy_validation():
         OptimalTwoMode(2, 1)
     with pytest.raises(ValueError):
         OptimalTwoMode(-1, 1)
-    for band in ((0, 2.5), (0.0, 2), (False, 2), (True, 2)):
+    for band in ((0, 2.5), (0.0, 2), (False, 2), (True, 2), (0, 10**400)):
         with pytest.raises(ValueError, match="whole number"):
             OptimalTwoMode(*band)
         with pytest.raises(ValueError, match="whole number"):
