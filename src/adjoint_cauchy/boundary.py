@@ -22,7 +22,6 @@ Array = np.ndarray
 __all__ = [
     "BoundaryRing",
     "BoundaryFunction",
-    "rings_compatible",
 ]
 
 
@@ -33,20 +32,20 @@ def is_count(value) -> bool:
     return whole and -sys.float_info.max <= value <= sys.float_info.max
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class BoundaryRing:
     """Closed ring of ``size`` equispaced boundary nodes, node k at angle
     ``2*pi*k/size``.
 
     ``angles`` and ``chord``, the length of every polygon edge, are
-    derived at construction.
+    derived at construction; rings compare and hash by side, radius and size.
     """
 
     side: str
     radius: float
     size: int
-    angles: Array = field(init=False, repr=False)
-    chord: float = field(init=False, repr=False)
+    angles: Array = field(init=False, repr=False, compare=False)
+    chord: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.side not in ("inner", "outer"):
@@ -59,11 +58,6 @@ class BoundaryRing:
         angles.flags.writeable = False
         object.__setattr__(self, "angles", angles)
         object.__setattr__(self, "chord", 2.0 * self.radius * math.sin(math.pi / self.size))
-
-
-def rings_compatible(a: BoundaryRing, b: BoundaryRing) -> bool:
-    """True when functions on the two rings may be combined nodewise."""
-    return a is b or (a.side, a.radius, a.size) == (b.side, b.radius, b.size)
 
 
 @dataclass
@@ -87,7 +81,7 @@ class BoundaryFunction:
         return BoundaryFunction(self.ring, self.values.copy())
 
     def _same_ring(self, other: BoundaryFunction) -> None:
-        if not rings_compatible(self.ring, other.ring):
+        if self.ring is not other.ring and self.ring != other.ring:
             raise ValueError("boundary functions live on different rings")
 
     def __add__(self, other: BoundaryFunction) -> BoundaryFunction:
@@ -108,6 +102,7 @@ class BoundaryFunction:
 
 
 def _require_ring(f: BoundaryFunction, ring: BoundaryRing) -> None:
-    """The ring check of both backends: ``f`` must live on ``ring``."""
-    if not rings_compatible(f.ring, ring):
+    """The ring check of both backends: ``f`` must live on ``ring``. It runs
+    on every solve, so identity, far cheaper than ``!=``, is tried first."""
+    if f.ring is not ring and f.ring != ring:
         raise ValueError(f"data must live on the backend's {ring.side} ring")

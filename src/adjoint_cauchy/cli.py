@@ -168,22 +168,24 @@ def _finite(text: str) -> float:
     literals such as 1e999 as floats; no config field accepts them."""
     value = float(text)
     if not math.isfinite(value):
-        raise ConfigError(f"config holds the non-finite number {text}")
+        raise ValueError(f"the non-finite number {text}")
     return value
 
 
-def _json(text: str) -> Any:
-    return json.loads(text, parse_float=_finite, parse_constant=_finite)
+def _json(text: str, source: str) -> Any:
+    """Read user JSON; each ``ValueError`` it raises names ``source``."""
+    try:
+        return json.loads(text, parse_float=_finite, parse_constant=_finite)
+    except ValueError as exc:
+        raise ConfigError(f"{source}: cannot read JSON: {exc}") from exc
 
 
 def load_config(path: str) -> dict:
     try:
-        with open(path, encoding="utf-8") as handle:
-            cfg = _json(handle.read())
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    cfg = _json(text, f"config {path}")
     if not isinstance(cfg, dict):
         raise ConfigError(f"config {path} must be a JSON object")
     _only_keys(cfg, CONFIG_KEYS, "config")
@@ -265,9 +267,16 @@ def _prepare(cfg: dict, out_override: str | None) -> tuple:
         data = cauchy_data(terms, backend.outer_ring)
     except ValueError as exc:
         raise ConfigError(f"data: {exc}") from exc
-    out = Path(path)
-    out.mkdir(parents=True, exist_ok=True)
-    return backend, terms, data, stop, out
+    return backend, terms, data, stop, _output_dir(path)
+
+
+def _output_dir(path: str | Path) -> Path:
+    """Create the output directory ``path``; a file in the way is a config error."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"output_dir: cannot create {path}: {exc.strerror}") from exc
+    return Path(path)
 
 
 def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
@@ -289,11 +298,11 @@ def _write_history(path: Path, history: list[IterationRecord]) -> None:
     _write_csv(path, HISTORY_HEADER, map(dataclasses.astuple, history))
 
 
-def _dump_mesh(mesh: AnnulusMesh, directory: Path) -> tuple[Path, Path]:
+def _dump_mesh(mesh: AnnulusMesh, directory: str | Path) -> tuple[Path, Path]:
     """Write ``nodes.csv`` (id, x, y, ring) and ``tris.csv`` (id, n0, n1,
     n2) into ``directory``, which is created; a node's ring tag is its
     level's: inner, outer or empty."""
-    directory.mkdir(parents=True, exist_ok=True)
+    directory = _output_dir(directory)
     n_radial, n_angular = mesh.spec.n_radial, mesh.spec.n_angular
     tags = ["inner"] + [""] * (n_radial - 1) + ["outer"]
     nodes_path, tris_path = directory / "nodes.csv", directory / "tris.csv"
@@ -489,7 +498,7 @@ def cmd_mesh_info(cfg: dict, dump: str | None) -> int:
     print(f"triangle area min {areas.min():.6e} max {areas.max():.6e}")
     print(f"mesh area {areas.sum():.17g} (annulus {annulus_area:.17g})")
     if dump is not None:
-        nodes_path, tris_path = _dump_mesh(mesh, Path(dump))
+        nodes_path, tris_path = _dump_mesh(mesh, dump)
         print(f"wrote {nodes_path} and {tris_path}")
     return 0
 
@@ -508,17 +517,14 @@ def _apply_overrides(cfg: dict, args: argparse.Namespace) -> None:
         cfg["backend"] = args.backend
     if getattr(args, "mesh", None) is not None:
         try:
-            n_radial, n_angular = (_json(part) for part in args.mesh.lower().split("x"))
+            n_radial, n_angular = (_json(part, "--mesh") for part in args.mesh.lower().split("x"))
         except ValueError as exc:
             raise ConfigError("--mesh expects RADIALxANGULAR, e.g. 27x160") from exc
         _override(cfg, "mesh", n_radial=n_radial, n_angular=n_angular)
     if getattr(args, "j_tol", None) is not None:
         _override(cfg, "stop", j_tol=args.j_tol)
     if getattr(args, "strategy", None) is not None:
-        try:
-            cfg["strategy"] = _json(args.strategy)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"--strategy is not valid JSON: {exc}") from exc
+        cfg["strategy"] = _json(args.strategy, "--strategy")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -162,8 +162,6 @@ class FemBackend:
         self.inner_ring = mesh.inner_ring
         self.outer_ring = mesh.outer_ring
         self.inner_weight = mesh.inner_ring.chord
-        self.r_inner = mesh.spec.r_inner
-        self.r_outer = mesh.spec.r_outer
 
     def solve_primary(
         self, omega: BoundaryFunction, q_bar: BoundaryFunction

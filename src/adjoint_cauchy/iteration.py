@@ -8,7 +8,7 @@ guess against the recovered gradient:
     omega_{k+1} = omega_k - rho_k * grad_k .
 
 The loop knows a discretisation only through the ``Backend`` protocol:
-two rings, two radii, a node weight and three operations. The backends
+two rings, a node weight and three operations. The backends
 live in ``fem`` and ``spectral``, and this module imports neither.
 Each iteration costs exactly one primary and one adjoint solve, so a run
 of k iterations books k + 1 primary and k adjoint solves; line-search
@@ -31,7 +31,7 @@ from typing import Protocol
 import numpy as np
 
 from . import steps as step_rules
-from .boundary import BoundaryFunction, BoundaryRing, is_count, rings_compatible
+from .boundary import BoundaryFunction, BoundaryRing, is_count
 
 __all__ = [
     "CauchyData",
@@ -76,7 +76,7 @@ class CauchyData:
     def __post_init__(self):
         if self.u_bar.ring.side != "outer":
             raise ValueError("Cauchy data lives on the outer ring")
-        if not rings_compatible(self.u_bar.ring, self.q_bar.ring):
+        if self.u_bar.ring != self.q_bar.ring:
             raise ValueError("Dirichlet and Neumann data must share one ring")
         for name in ("u_bar", "q_bar"):
             if not _finite_square_norm(getattr(self, name).values):
@@ -155,12 +155,10 @@ class Backend(Protocol):
     data to the outer trace, ``solve_adjoint`` maps outer Neumann data to
     the descent gradient on the inner ring, and ``functional`` measures a
     misfit on the outer ring. Each checks that its data live on the
-    backend's rings. In the inner-ring quadrature of node weight
-    ``inner_weight`` the gradient is the Riesz gradient of the functional.
+    backend's rings, which carry the radii. In the inner-ring quadrature
+    of node weight ``inner_weight`` the gradient is the Riesz gradient.
     """
 
-    r_inner: float
-    r_outer: float
     inner_ring: BoundaryRing
     outer_ring: BoundaryRing
     inner_weight: float
@@ -196,24 +194,22 @@ def run(
     keeps increasing past the rule's planned rises raises
     ``DivergenceError``, and no overflow warns.
     """
-    if not rings_compatible(data.u_bar.ring, backend.outer_ring):
+    if data.u_bar.ring != backend.outer_ring:
         raise ValueError("Cauchy data does not match the backend's outer ring")
     if omega0 is None:
         omega = BoundaryFunction.zeros(backend.inner_ring)
     else:
-        if not rings_compatible(omega0.ring, backend.inner_ring):
+        if omega0.ring != backend.inner_ring:
             raise ValueError("omega0 does not match the backend's inner ring")
         if not _finite_square_norm(omega0.values):
             raise ValueError("omega0 has a non-finite square norm")
         omega = omega0.copy()
 
+    radii = backend.inner_ring.radius, backend.outer_ring.radius
     counters = SolveCounters()
     history: list[IterationRecord] = []
     previous_j = math.inf
     increases = 0
-    iterations = 0
-    converged = False
-    reason = "max_iters"
     # (J, outer trace) of omega when a line trial has already solved it
     evaluation = None
 
@@ -243,12 +239,9 @@ def run(
             increases = 0
         previous_j = j_value
 
-        if j_value < stop.j_tol:
+        if j_value < stop.j_tol or k == stop.max_iters:
             history.append(_record(k, j_value, math.nan, math.nan, counters))
-            converged, reason = True, "j_tol"
-            break
-        if k == stop.max_iters:
-            history.append(_record(k, j_value, math.nan, math.nan, counters))
+            reason = "j_tol" if j_value < stop.j_tol else "max_iters"
             break
 
         grad = backend.solve_adjoint(2.0 * (v_trace - data.u_bar))
@@ -256,7 +249,7 @@ def run(
         grad_norm = math.sqrt(backend.inner_weight * float(np.dot(grad.values, grad.values)))
         if grad_norm < stop.grad_eps:
             history.append(_record(k, j_value, grad_norm, math.nan, counters))
-            converged, reason = True, "grad_eps"
+            reason = "grad_eps"
             break
 
         trials = []  # (beta, omega - beta*grad, (J, outer trace)) per line call
@@ -268,14 +261,13 @@ def run(
             trials.append((beta, candidate, (j_trial, v_trial)))
             return j_trial
 
-        rho = strategy.step(k, line, j_value, grad_norm**2, backend.r_inner, backend.r_outer)
+        rho = strategy.step(k, line, j_value, grad_norm**2, *radii)
         if trials and trials[-1][0] == rho:
             _, omega, evaluation = trials.pop()
         else:
             omega, evaluation = omega - rho * grad, None
         counters.line_search += len(trials)
         history.append(_record(k, j_value, grad_norm, rho, counters))
-        iterations += 1
         if not _finite_square_norm(omega.values):
             raise DivergenceError(
                 f"the norm of iterate {k + 1} is not finite (step {rho:.6e}); "
@@ -283,7 +275,7 @@ def run(
                 history,
             )
 
-    return RunResult(history, omega, converged, reason, counters, iterations)
+    return RunResult(history, omega, reason != "max_iters", reason, counters, len(history) - 1)
 
 
 def _record(

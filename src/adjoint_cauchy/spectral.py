@@ -172,8 +172,6 @@ class SpectralBackend:
 
     def __init__(self, r_inner: float, r_outer: float, n_angular: int = 160):
         _check_radii(r_inner, r_outer)
-        self.r_inner = r_inner
-        self.r_outer = r_outer
         self.inner_ring = BoundaryRing("inner", r_inner, n_angular)
         self.outer_ring = BoundaryRing("outer", r_outer, n_angular)
         self.inner_weight = 2.0 * math.pi * r_inner / n_angular
@@ -213,4 +211,4 @@ class SpectralBackend:
         # near convergence the misfit is pure roundoff, so skip the tail warning
         misfit = band_coefficients(v_trace.values - u_bar.values, warn_tail=False)
         power = np.abs(misfit) ** 2
-        return float(2.0 * math.pi * self.r_outer * (power[0] + 2.0 * power[1:].sum()))
+        return float(2.0 * math.pi * self.outer_ring.radius * (power[0] + 2.0 * power[1:].sum()))

@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from adjoint_cauchy import AnnulusSpec, BoundaryFunction, FemBackend, generate_mesh
-from adjoint_cauchy.boundary import BoundaryRing, rings_compatible
+from adjoint_cauchy.boundary import BoundaryRing
 
 
 def test_ring_angles_are_equispaced():
@@ -32,12 +32,14 @@ def test_ring_validation():
             BoundaryRing("inner", radius, 8)
 
 
-def test_rings_compatible():
+def test_rings_compare_by_value():
     a = BoundaryRing("inner", 1.0, 8)
-    assert rings_compatible(a, BoundaryRing("inner", 1.0, 8))
-    assert not rings_compatible(a, BoundaryRing("outer", 1.0, 8))
-    assert not rings_compatible(a, BoundaryRing("inner", 2.0, 8))
-    assert not rings_compatible(a, BoundaryRing("inner", 1.0, 16))
+    assert a == BoundaryRing("inner", 1.0, 8)
+    assert a != BoundaryRing("outer", 1.0, 8)
+    assert a != BoundaryRing("inner", 2.0, 8)
+    assert a != BoundaryRing("inner", 1.0, 16)
+    # equal rings hash alike, so a set holds one of them
+    assert len({BoundaryRing("inner", 1.0, 8), BoundaryRing("inner", 1.0, 8)}) == 1
 
 
 def test_chord_lengths_regular_polygon():

@@ -40,9 +40,16 @@ BASE = {
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
+# a 5001-digit whole number, longer than ``int`` reads from text; ``json``
+# cannot write it, so a config holds ``LONG_MARK`` where it goes
+LONG = "1" + "0" * 5000
+LONG_MARK = "<5001 digits>"
+LONG_SWEEP = f'{{"kind": "sweep", "mode_min": 0, "mode_max": {LONG}}}'
+
+
 def write_config(tmp_path, cfg, name="config.json"):
     path = tmp_path / name
-    path.write_text(json.dumps(cfg))
+    path.write_text(json.dumps(cfg).replace(json.dumps(LONG_MARK), LONG))
     return str(path)
 
 
@@ -236,6 +243,9 @@ def oracle_with(**fields):
         ),
         pytest.param("run", dict(BASE, data=one_term(mode=HUGE)), id="term-mode-huge"),
         pytest.param("run", dict(BASE, data=one_term(mode=1000)), id="term-mode-1000"),
+        # whole numbers too long to read, in the file and in an override
+        pytest.param("run", dict(BASE, stop={"max_iters": LONG_MARK}), id="max_iters-5001-digits"),
+        pytest.param(["run", "--strategy", LONG_SWEEP], BASE, id="strategy-override-5001-digits"),
         pytest.param("oracle-check", dict(ORACLE, oracle={"modes": [True]}), id="oracle-mode-true"),
         pytest.param("oracle-check", dict(ORACLE, oracle={"modes": [1.5]}), id="oracle-mode-1.5"),
         pytest.param("oracle-check", dict(ORACLE, oracle={"refine": "no"}), id="refine-str"),
@@ -275,11 +285,13 @@ def oracle_with(**fields):
 )
 def test_strict_config_values_exit_one(tmp_path, capsys, command, cfg):
     """A bad value is a config error, and leaves no output directory;
-    ``output_dir`` defaults to ``tmp_path``."""
+    ``output_dir`` defaults to ``tmp_path``. A ``command`` list carries
+    overrides after the config."""
     if isinstance(cfg, dict):
         cfg = {"output_dir": str(tmp_path / "out"), **cfg}
     path = write_config(tmp_path, cfg)
-    assert main([command, path]) == 1
+    command, *overrides = [command] if isinstance(command, str) else command
+    assert main([command, path, *overrides]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "Traceback" not in err
@@ -355,6 +367,8 @@ def test_bad_config_leaves_no_output_directory(tmp_path, capsys, command):
         # run names the section "strategy", compare "strategies[1]"
         ({"strategy": huge_band, "strategies": [BASE["strategy"], huge_band]}, "strateg"),
         ({"data": one_term(mode=HUGE)}, "data"),
+        # a whole number too long to read fails on reading the file
+        ({"stop": {"max_iters": LONG_MARK}}, "config"),
     ):
         cfg = {
             **BASE,
@@ -365,6 +379,27 @@ def test_bad_config_leaves_no_output_directory(tmp_path, capsys, command):
         assert main([command, write_config(tmp_path, cfg)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {context}")
         assert not (tmp_path / "out").exists()
+    if command == "run":  # compare takes no strategy override
+        good = write_config(tmp_path, dict(BASE, output_dir=str(tmp_path / "out")))
+        assert main(["run", good, "--strategy", LONG_SWEEP]) == 1
+        assert capsys.readouterr().err.startswith("error: --strategy")
+        assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "compare", "mesh-info"])
+def test_unusable_output_path_exits_one(tmp_path, capsys, command):
+    """An output directory that is a file, or lies under one, is a config
+    error: exit 1 and no traceback, and the file is left as it was."""
+    blocker = tmp_path / "file"
+    blocker.write_text("kept")
+    path = write_config(tmp_path, dict(BASE, strategies=TWO_RULES))
+    flag = "--dump" if command == "mesh-info" else "--out"
+    for out in (blocker, blocker / "sub"):
+        assert main([command, path, flag, str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: output_dir: cannot create")
+        assert "Traceback" not in err
+    assert blocker.read_text() == "kept"
 
 
 def assert_not_defaults(obj):

@@ -4,6 +4,7 @@ import ast
 import math
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -83,10 +84,17 @@ def test_gradient_of_zero_misfit(spectral, ex1):
     assert np.max(np.abs(g.values)) < 1e-12
 
 
+def assert_outcome_is_its_history(result):
+    """A run's step count and convergence flag follow from its history."""
+    assert result.iterations == len(result.history) - 1
+    assert result.converged == (result.reason != "max_iters")
+
+
 def test_one_step_recovery(spectral, ex1):
     result = run(spectral, ex1, ExplicitSchedule((1681.0 / 486.0,), tail_rho=1.0 / 3.0))
     assert result.converged
     assert result.reason == "j_tol"
+    assert_outcome_is_its_history(result)
     assert result.iterations == 1
     omega_star = exact_inner_trace(builtin_terms("example1"), spectral.inner_ring)
     assert np.max(np.abs(result.omega.values - omega_star.values)) < 1e-12
@@ -111,6 +119,7 @@ def test_max_iters_is_not_convergence(spectral, ex1):
     assert not result.converged
     assert result.reason == "max_iters"
     assert result.iterations == 3
+    assert_outcome_is_its_history(result)
     assert [r.k for r in result.history] == [0, 1, 2, 3]
     assert result.counters.primary == 4
     assert result.counters.adjoint == 3
@@ -125,6 +134,7 @@ def test_grad_eps_stop(spectral, ex1):
     result = run(spectral, ex1, Constant(0.01), stop, omega0=omega_star)
     assert result.converged
     assert result.reason == "grad_eps"
+    assert_outcome_is_its_history(result)
     last = result.history[-1]
     assert last.grad_norm < 1e-2
     assert math.isnan(last.rho)
@@ -307,9 +317,8 @@ def resolving_run(backend, data, rule, stop):
             trials += 1
             return functional_at(backend, omega - beta * grad, data)[0]
 
-        rhos.append(
-            rule.step(len(rhos), line, j_value, grad_norms[-1] ** 2, backend.r_inner, backend.r_outer)
-        )
+        radii = backend.inner_ring.radius, backend.outer_ring.radius
+        rhos.append(rule.step(len(rhos), line, j_value, grad_norms[-1] ** 2, *radii))
         omega = omega - rhos[-1] * grad
 
 
@@ -603,6 +612,21 @@ def test_functional_rejects_foreign_rings(backend_name, request):
         with pytest.raises(ValueError):
             backend.functional(on_outer, foreign)
 
+
+def test_run_needs_only_the_protocol(spectral, ex2):
+    """A backend with the protocol's members and no others, here the
+    spectral backend's rings, weight and three solves, runs each rule as
+    the spectral backend itself does."""
+    members = (
+        "inner_ring", "outer_ring", "inner_weight", "solve_primary", "solve_adjoint", "functional"
+    )
+    bare = SimpleNamespace(**{name: getattr(spectral, name) for name in members})
+    for rule in STEP_RULES:
+        own, duck = run(spectral, ex2, rule), run(bare, ex2, rule)
+        assert duck.history == own.history
+        assert np.array_equal(duck.omega.values, own.omega.values)
+    # the protocol holds no radius: the rings carry it
+    assert set(iteration.Backend.__annotations__) == set(members[:3])
 
 
 def test_loop_imports_no_discretisation():

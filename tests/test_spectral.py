@@ -363,5 +363,5 @@ def test_parseval():
     g = band_samples(c, backend.inner_ring.size)
     quad = backend.inner_weight * float(np.dot(g, g))
     power = np.abs(c) ** 2
-    exact = 2.0 * math.pi * backend.r_inner * (power[0] + 2.0 * power[1:].sum())
+    exact = 2.0 * math.pi * backend.inner_ring.radius * (power[0] + 2.0 * power[1:].sum())
     assert abs(quad - exact) / exact < 1e-13
