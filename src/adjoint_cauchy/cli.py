@@ -10,13 +10,15 @@ Four subcommands work off a single JSON config file:
                    maps, with an optional refinement pass
 * ``mesh-info``    mesh statistics, optionally dumping node/triangle CSVs
 
-Every output file is written here; every CSV goes through ``_write_csv``,
-one format and one line ending for the whole run directory.
+Every output file is written here, and ``_write`` opens each one: one
+format and one line ending for the whole run directory.
 
 Exit codes: 0 success (including a run that merely hit its iteration cap),
-1 usage or config error (Cauchy data without a finite square norm among
-them), 2 numerical failure (divergence or overflow of the iterates, step
-underflow), 3 oracle tolerance breach.
+1 usage or config error, 2 numerical failure (divergence or overflow of the
+iterates, step underflow), 3 oracle tolerance breach. Exit 1 also covers
+Cauchy data without a finite square norm, a config that is not UTF-8, JSON
+nested too deeply, an output file name taken by a directory (the files
+written before it stay) and a closed stdout.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import inspect
 import itertools
 import json
 import math
+import os
 import sys
 import time
 import typing
@@ -67,6 +70,20 @@ RATIO_FLOOR = 1e-10
 
 class ConfigError(ValueError):
     """Malformed or inconsistent experiment configuration."""
+
+
+@contextlib.contextmanager
+def _context(name: str):
+    """Report a ``ValueError`` or ``OSError`` of the block as a config error
+    that names ``name``, an ``OSError`` by its ``strerror`` alone."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except OSError as exc:
+        raise ConfigError(f"{name}: {exc.strerror}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
 
 
 def _number(value: Any, context: str) -> float:
@@ -155,12 +172,8 @@ def _build(target: Callable, obj: Any, context: str, **given: Any) -> Any:
             kwargs[name] = _read(hints[name], obj[name], f"{context}.{name}")
         elif name not in given and param.default is param.empty:
             raise ConfigError(f"{context} needs {name!r}")
-    try:
+    with _context(context):
         return target(**kwargs)
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"{context}: {exc}") from exc
 
 
 def _finite(text: str) -> float:
@@ -173,19 +186,17 @@ def _finite(text: str) -> float:
 
 
 def _json(text: str, source: str) -> Any:
-    """Read user JSON; each ``ValueError`` it raises names ``source``."""
-    try:
-        return json.loads(text, parse_float=_finite, parse_constant=_finite)
-    except ValueError as exc:
-        raise ConfigError(f"{source}: cannot read JSON: {exc}") from exc
+    """Read user JSON; a ``ValueError`` or too deep nesting names ``source``."""
+    with _context(f"{source}: cannot read JSON"):
+        try:
+            return json.loads(text, parse_float=_finite, parse_constant=_finite)
+        except RecursionError as exc:
+            raise ValueError("nested too deeply") from exc
 
 
 def load_config(path: str) -> dict:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    cfg = _json(text, f"config {path}")
+    with _context(f"config {path}"):
+        cfg = _json(Path(path).read_text(encoding="utf-8"), f"config {path}")
     if not isinstance(cfg, dict):
         raise ConfigError(f"config {path} must be a JSON object")
     _only_keys(cfg, CONFIG_KEYS, "config")
@@ -232,22 +243,13 @@ def _strategy(obj: Any, context: str = "strategy") -> StepStrategy:
     return _build(STRATEGY_KINDS[kind], fields, context)
 
 
-@contextlib.contextmanager
-def _mesh_arrays():
-    """Report a mesh too large to build as a config error: numpy raises
-    ``ValueError`` for an array size it refuses, such as 8x1e300."""
-    try:
-        yield
-    except ValueError as exc:
-        raise ConfigError(f"mesh: {exc}") from exc
-
-
 def _backend(cfg: dict):
     name = cfg.get("backend", "fem")
     if name not in ("fem", "spectral"):
         raise ConfigError(f"unknown backend {name!r}; expected 'fem' or 'spectral'")
     spec = _mesh_spec(cfg)
-    with _mesh_arrays():
+    # numpy raises ``ValueError`` for an array size it refuses, such as 8x1e300
+    with _context("mesh"):
         if name == "fem":
             return FemBackend(generate_mesh(spec))
         return SpectralBackend(spec.r_inner, spec.r_outer, n_angular=spec.n_angular)
@@ -263,29 +265,30 @@ def _prepare(cfg: dict, out_override: str | None) -> tuple:
     if not isinstance(path, str) or not path:
         raise ConfigError("output_dir must be a non-empty string")
     backend = _backend(cfg)
-    try:
+    with _context("data"):
         data = cauchy_data(terms, backend.outer_ring)
-    except ValueError as exc:
-        raise ConfigError(f"data: {exc}") from exc
     return backend, terms, data, stop, _output_dir(path)
 
 
 def _output_dir(path: str | Path) -> Path:
     """Create the output directory ``path``; a file in the way is a config error."""
-    try:
+    with _context(f"output_dir: cannot create {path}"):
         Path(path).mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"output_dir: cannot create {path}: {exc.strerror}") from exc
     return Path(path)
 
 
+def _write(path: Path, lines: Iterable[str]) -> None:
+    """Write one output file, every line ended by ``\\n``."""
+    with _context(f"output_dir: cannot write {path}"):
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.writelines(line + "\n" for line in lines)
+
+
 def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
-    """Write one CSV file: a float cell with 17 significant digits, any
-    other cell with ``str``, and every line ended by ``\\n``."""
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        for row in itertools.chain([header], rows):
-            cells = (format(cell, ".17g") if isinstance(cell, float) else str(cell) for cell in row)
-            handle.write(",".join(cells) + "\n")
+    """Write one CSV file: a float cell with 17 significant digits and any
+    other cell with ``str``."""
+    cells = ((f"{c:.17g}" if isinstance(c, float) else str(c) for c in row) for row in rows)
+    _write(path, map(",".join, itertools.chain([header], cells)))
 
 
 # the fields of ``IterationRecord`` in order, one column each
@@ -346,9 +349,7 @@ def cmd_run(cfg: dict, out_override: str | None) -> int:
     )
     summary = _summary_payload(result, wall, cfg)
     summary["strategy"] = cfg.get("strategy")
-    with open(out / "summary.json", "w", encoding="utf-8") as handle:
-        json.dump(summary, handle, indent=2)
-        handle.write("\n")
+    _write(out / "summary.json", [json.dumps(summary, indent=2)])
 
     status = "converged" if result.converged else f"stopped ({result.reason})"
     print(
@@ -488,7 +489,7 @@ def cmd_oracle_check(cfg: dict) -> int:
 
 def cmd_mesh_info(cfg: dict, dump: str | None) -> int:
     spec = _mesh_spec(cfg)
-    with _mesh_arrays():
+    with _context("mesh"):
         mesh = generate_mesh(spec)
         areas = triangle_areas(mesh)
     annulus_area = np.pi * (spec.r_outer**2 - spec.r_inner**2)
@@ -516,10 +517,8 @@ def _apply_overrides(cfg: dict, args: argparse.Namespace) -> None:
     if getattr(args, "backend", None) is not None:
         cfg["backend"] = args.backend
     if getattr(args, "mesh", None) is not None:
-        try:
+        with _context("--mesh expects RADIALxANGULAR, e.g. 27x160"):
             n_radial, n_angular = (_json(part, "--mesh") for part in args.mesh.lower().split("x"))
-        except ValueError as exc:
-            raise ConfigError("--mesh expects RADIALxANGULAR, e.g. 27x160") from exc
         _override(cfg, "mesh", n_radial=n_radial, n_angular=n_angular)
     if getattr(args, "j_tol", None) is not None:
         _override(cfg, "stop", j_tol=args.j_tol)
@@ -561,6 +560,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    try:
+        code = _main(argv)
+        sys.stdout.flush()  # a closed stdout fails here, not in the exit flush
+    except BrokenPipeError as exc:
+        # the Python docs' pattern: what is left to flush goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: stdout: {exc.strerror}", file=sys.stderr)
+        return EXIT_USAGE
+    return code
+
+
+def _main(argv: list[str] | None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -83,9 +83,9 @@ class CauchyData:
                 raise ValueError(f"Cauchy data {name} has a non-finite square norm")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolveCounters:
-    """Running totals of direct solves spent by one descent run."""
+    """Totals of direct solves spent by one descent run."""
 
     primary: int = 0
     adjoint: int = 0
@@ -136,12 +136,25 @@ class StopRule:
 
 @dataclass
 class RunResult:
+    """A finished run: its records, its last iterate and its stop reason;
+    everything else is read off them."""
+
     history: list[IterationRecord]
     omega: BoundaryFunction
-    converged: bool
     reason: str
-    counters: SolveCounters
-    iterations: int
+
+    @property
+    def converged(self) -> bool:
+        return self.reason != "max_iters"
+
+    @property
+    def iterations(self) -> int:
+        return len(self.history) - 1
+
+    @property
+    def counters(self) -> SolveCounters:
+        last = self.history[-1]
+        return SolveCounters(last.primary_solves, last.adjoint_solves, last.line_search_solves)
 
     @property
     def final_j(self) -> float:
@@ -206,7 +219,7 @@ def run(
         omega = omega0.copy()
 
     radii = backend.inner_ring.radius, backend.outer_ring.radius
-    counters = SolveCounters()
+    primary = adjoint = line_search = 0
     history: list[IterationRecord] = []
     previous_j = math.inf
     increases = 0
@@ -217,7 +230,7 @@ def run(
         if evaluation is None:
             v_trace = backend.solve_primary(omega, data.q_bar)
             evaluation = backend.functional(v_trace, data.u_bar), v_trace
-        counters.primary += 1
+        primary += 1
         j_value, v_trace = evaluation
 
         if not math.isfinite(j_value):
@@ -240,15 +253,14 @@ def run(
         previous_j = j_value
 
         if j_value < stop.j_tol or k == stop.max_iters:
-            history.append(_record(k, j_value, math.nan, math.nan, counters))
+            grad_norm = math.nan
             reason = "j_tol" if j_value < stop.j_tol else "max_iters"
             break
 
         grad = backend.solve_adjoint(2.0 * (v_trace - data.u_bar))
-        counters.adjoint += 1
+        adjoint += 1
         grad_norm = math.sqrt(backend.inner_weight * float(np.dot(grad.values, grad.values)))
         if grad_norm < stop.grad_eps:
-            history.append(_record(k, j_value, grad_norm, math.nan, counters))
             reason = "grad_eps"
             break
 
@@ -266,8 +278,8 @@ def run(
             _, omega, evaluation = trials.pop()
         else:
             omega, evaluation = omega - rho * grad, None
-        counters.line_search += len(trials)
-        history.append(_record(k, j_value, grad_norm, rho, counters))
+        line_search += len(trials)
+        history.append(IterationRecord(k, j_value, grad_norm, rho, primary, adjoint, line_search))
         if not _finite_square_norm(omega.values):
             raise DivergenceError(
                 f"the norm of iterate {k + 1} is not finite (step {rho:.6e}); "
@@ -275,18 +287,6 @@ def run(
                 history,
             )
 
-    return RunResult(history, omega, reason != "max_iters", reason, counters, len(history) - 1)
-
-
-def _record(
-    k: int, j_value: float, grad_norm: float, rho: float, counters: SolveCounters
-) -> IterationRecord:
-    return IterationRecord(
-        k=k,
-        j_value=j_value,
-        grad_norm=grad_norm,
-        rho=rho,
-        primary_solves=counters.primary,
-        adjoint_solves=counters.adjoint,
-        line_search_solves=counters.line_search,
-    )
+    # the terminal record: the run stopped before stepping
+    history.append(IterationRecord(k, j_value, grad_norm, math.nan, primary, adjoint, line_search))
+    return RunResult(history, omega, reason)

@@ -5,6 +5,7 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
@@ -46,10 +47,16 @@ LONG = "1" + "0" * 5000
 LONG_MARK = "<5001 digits>"
 LONG_SWEEP = f'{{"kind": "sweep", "mode_min": 0, "mode_max": {LONG}}}'
 
+# JSON nested deeper than the recursion limit
+DEEP = "[" * 3000 + "]" * 3000
+
 
 def write_config(tmp_path, cfg, name="config.json"):
+    """Write ``cfg`` as JSON, or as it is if it is ``bytes``."""
     path = tmp_path / name
-    path.write_text(json.dumps(cfg).replace(json.dumps(LONG_MARK), LONG))
+    if not isinstance(cfg, bytes):
+        cfg = json.dumps(cfg).replace(json.dumps(LONG_MARK), LONG).encode()
+    path.write_bytes(cfg)
     return str(path)
 
 
@@ -266,6 +273,8 @@ def oracle_with(**fields):
         pytest.param("oracle-check", oracle_with(tolerance=-1), id="oracle-tolerance-neg"),
         pytest.param("oracle-check", oracle_with(min_ratio=0.5), id="oracle-min_ratio-0.5"),
         pytest.param("run", [BASE], id="config-list"),
+        pytest.param("run", b'{"radii": \xff}', id="config-not-utf-8"),
+        pytest.param("run", DEEP.encode(), id="config-nested-3000"),
         pytest.param("run", dict(BASE, stop=5), id="stop-5"),
         pytest.param("run", dict(BASE, strategy={"kind": "constant"}), id="constant-no-rho"),
         pytest.param("run", dict(BASE, radii={"inner": 3, "outer": 1}), id="radii-inverted"),
@@ -283,12 +292,11 @@ def oracle_with(**fields):
         ),
     ],
 )
-def test_strict_config_values_exit_one(tmp_path, capsys, command, cfg):
+def test_strict_config_values_exit_one(tmp_path, capsys, monkeypatch, command, cfg):
     """A bad value is a config error, and leaves no output directory;
-    ``output_dir`` defaults to ``tmp_path``. A ``command`` list carries
-    overrides after the config."""
-    if isinstance(cfg, dict):
-        cfg = {"output_dir": str(tmp_path / "out"), **cfg}
+    ``output_dir`` defaults to ``out`` under ``tmp_path``. A ``command`` list
+    carries overrides after the config."""
+    monkeypatch.chdir(tmp_path)
     path = write_config(tmp_path, cfg)
     command, *overrides = [command] if isinstance(command, str) else command
     assert main([command, path, *overrides]) == 1
@@ -347,6 +355,7 @@ def test_command_line_overrides(tmp_path):
         ["--mesh", "6x32.5"],
         ["--mesh", "8x1e300"],
         ["--strategy", "{bad"],
+        pytest.param(["--strategy", DEEP], id="--strategy nested-3000"),
     ],
     ids=lambda override: " ".join(override),
 )
@@ -386,20 +395,53 @@ def test_bad_config_leaves_no_output_directory(tmp_path, capsys, command):
         assert not (tmp_path / "out").exists()
 
 
+# output files of each command, the first and the last that it writes
+OUTPUT_FILES = {
+    "run": ["history.csv", "summary.json"],
+    "compare": ["compare.csv"],
+    "mesh-info": ["nodes.csv"],
+}
+
+
 @pytest.mark.parametrize("command", ["run", "compare", "mesh-info"])
 def test_unusable_output_path_exits_one(tmp_path, capsys, command):
     """An output directory that is a file, or lies under one, is a config
-    error: exit 1 and no traceback, and the file is left as it was."""
+    error: exit 1 and no traceback, and the file is left as it was. So is an
+    output file whose name a directory takes."""
     blocker = tmp_path / "file"
     blocker.write_text("kept")
     path = write_config(tmp_path, dict(BASE, strategies=TWO_RULES))
     flag = "--dump" if command == "mesh-info" else "--out"
-    for out in (blocker, blocker / "sub"):
+    cases = [(blocker, "create"), (blocker / "sub", "create")]
+    for name in OUTPUT_FILES[command]:
+        (tmp_path / name / name).mkdir(parents=True)
+        cases.append((tmp_path / name, f"write {tmp_path / name / name}: Is a directory"))
+    for out, failure in cases:
         assert main([command, path, flag, str(out)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: output_dir: cannot create")
+        assert err.startswith(f"error: output_dir: cannot {failure}")
         assert "Traceback" not in err
     assert blocker.read_text() == "kept"
+
+
+def test_closed_stdout_exits_one(src_env):
+    """Printing into a pipe whose reader has gone is exit 1 with one error
+    line, whether stdout is buffered or not."""
+    config = str(CONFIGS / "example1_schedule.json")
+    for buffering in ("", "1"):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        done = subprocess.run(
+            [sys.executable, "-m", "adjoint_cauchy.cli", "mesh-info", config],
+            env=dict(src_env, PYTHONUNBUFFERED=buffering),
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        os.close(write_end)
+        assert done.returncode == 1
+        # no traceback, and no "Exception ignored" from the exit flush
+        assert done.stderr == "error: stdout: Broken pipe\n"
 
 
 def assert_not_defaults(obj):
