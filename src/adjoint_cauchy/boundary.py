@@ -32,6 +32,12 @@ def is_count(value) -> bool:
     return whole and -sys.float_info.max <= value <= sys.float_info.max
 
 
+def check_annulus(r_inner: float, r_outer: float) -> None:
+    """The annulus rule for every pair of radii: 0 < r_inner < r_outer < inf."""
+    if not 0.0 < r_inner < r_outer < math.inf:
+        raise ValueError("an annulus needs radii 0 < r_inner < r_outer < inf")
+
+
 @dataclass(frozen=True)
 class BoundaryRing:
     """Closed ring of ``size`` equispaced boundary nodes, node k at angle
@@ -50,8 +56,8 @@ class BoundaryRing:
     def __post_init__(self):
         if self.side not in ("inner", "outer"):
             raise ValueError(f"ring side must be 'inner' or 'outer', got {self.side!r}")
-        if not self.radius > 0.0:
-            raise ValueError("ring radius must be positive")
+        if not 0.0 < self.radius < math.inf:
+            raise ValueError("ring radius must be positive and finite")
         if not is_count(self.size) or self.size < 3:
             raise ValueError(f"a ring needs a whole number of at least 3 nodes, got {self.size!r}")
         angles = 2.0 * np.pi * np.arange(self.size) / self.size

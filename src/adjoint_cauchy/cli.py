@@ -15,8 +15,9 @@ format and one line ending for the whole run directory.
 
 Exit codes: 0 success (including a run that merely hit its iteration cap),
 1 usage or config error, 2 numerical failure (divergence or overflow of the
-iterates, step underflow), 3 oracle tolerance breach. Exit 1 also covers
-Cauchy data without a finite square norm, a config that is not UTF-8, JSON
+iterates, Armijo step underflow, a step band whose mode factors underflow
+to an infinite step), 3 oracle tolerance breach. Exit 1 also covers Cauchy
+data without a finite square norm, a config that is not UTF-8, JSON
 nested too deeply, an output file name taken by a directory (the files
 written before it stay) and a closed stdout.
 """
@@ -40,7 +41,7 @@ from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
-from .boundary import BoundaryFunction
+from .boundary import BoundaryFunction, check_annulus, is_count
 from .fem import FemBackend, SolverError
 from .iteration import DivergenceError, IterationRecord, RunResult, StopRule, run
 from .mesh import AnnulusMesh, AnnulusSpec, generate_mesh, triangle_areas
@@ -205,8 +206,7 @@ def load_config(path: str) -> dict:
 
 def _radii(inner: float, outer: float) -> tuple[float, float]:
     """The ``radii`` section: the two radii of the annulus."""
-    if not 0.0 < inner < outer:
-        raise ValueError("must satisfy 0 < inner < outer")
+    check_annulus(inner, outer)
     return inner, outer
 
 
@@ -418,8 +418,8 @@ def oracle_check(
         raise ValueError("min_ratio must be at least 1")
     nyquist = (spec.n_angular - 1) // 2
     for mode in modes:
-        if not 0 <= mode <= nyquist:
-            raise ValueError(f"mode {mode} is not resolvable on a ring of {spec.n_angular} nodes")
+        if not (is_count(mode) and 0 <= mode <= nyquist):
+            raise ValueError(f"mode {mode!r} is not a whole number in the resolvable 0..{nyquist}")
 
     def errors_on(mesh_spec: AnnulusSpec) -> np.ndarray:
         """The trace and the flux errors of every requested mode, a row each."""

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boundary import BoundaryRing, is_count
+from .boundary import BoundaryRing, check_annulus, is_count
 
 Array = np.ndarray
 
@@ -47,8 +47,7 @@ class AnnulusSpec:
     n_angular: int
 
     def __post_init__(self):
-        if not (0.0 < self.r_inner < self.r_outer):
-            raise ValueError("radii must satisfy 0 < r_inner < r_outer")
+        check_annulus(self.r_inner, self.r_outer)
         if not is_count(self.n_radial) or self.n_radial < 1:
             raise ValueError(f"n_radial must be a whole number >= 1, got {self.n_radial!r}")
         if not is_count(self.n_angular) or self.n_angular < 3:

@@ -45,7 +45,7 @@ import warnings
 
 import numpy as np
 
-from .boundary import BoundaryFunction, BoundaryRing, _require_ring, is_count
+from .boundary import BoundaryFunction, BoundaryRing, _require_ring, check_annulus, is_count
 
 __all__ = [
     "SpectralBackend",
@@ -60,11 +60,6 @@ Array = np.ndarray
 
 # Relative magnitude below which a coefficient is treated as numerical noise.
 BAND_THRESHOLD = 1e-8
-
-
-def _check_radii(r_inner: float, r_outer: float) -> None:
-    if not (0.0 < r_inner < r_outer):
-        raise ValueError("radii must satisfy 0 < r_inner < r_outer")
 
 
 def _check_mode(mode: int) -> int:
@@ -84,7 +79,7 @@ def _require_band(mode_min: int, mode_max: int) -> None:
 
 def trace_factor(mode: int, r_inner: float, r_outer: float) -> float:
     """Attenuation of inner-trace mode ``mode`` seen on the outer circle."""
-    _check_radii(r_inner, r_outer)
+    check_annulus(r_inner, r_outer)
     m = _check_mode(mode)
     q = r_inner / r_outer
     qm = q**m
@@ -93,7 +88,7 @@ def trace_factor(mode: int, r_inner: float, r_outer: float) -> float:
 
 def gradient_factor(mode: int, r_inner: float, r_outer: float) -> float:
     """Per-mode coefficient mapping trace error to (minus) the gradient."""
-    _check_radii(r_inner, r_outer)
+    check_annulus(r_inner, r_outer)
     m = _check_mode(mode)
     q2m = (r_inner / r_outer) ** (2 * m)
     return 8.0 * (r_outer / r_inner) * q2m / (1.0 + q2m) ** 2
@@ -171,7 +166,7 @@ class SpectralBackend:
     """
 
     def __init__(self, r_inner: float, r_outer: float, n_angular: int = 160):
-        _check_radii(r_inner, r_outer)
+        check_annulus(r_inner, r_outer)
         self.inner_ring = BoundaryRing("inner", r_inner, n_angular)
         self.outer_ring = BoundaryRing("outer", r_outer, n_angular)
         self.inner_weight = 2.0 * math.pi * r_inner / n_angular

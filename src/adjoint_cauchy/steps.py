@@ -47,9 +47,8 @@ __all__ = [
 
 MAX_BACKTRACKS = 60
 
-# The top mode of the band whose optimal step is the default tail step: at
-# radius ratio 3 its gradient factor sits below 1e-60, so the step is
-# 2 / C_0 to double precision.
+# The top mode of the band whose optimal step, 2 / (C_0 + C_64), is the
+# default tail step (``default_tail_rho``).
 DEFAULT_BAND_CAP = 64
 
 
@@ -133,14 +132,14 @@ class ModeSweep(StepStrategy):
     def step_size(self, k: int, r_inner: float, r_outer: float) -> float:
         """Step of sweep iteration ``k``.
 
-        For k = 0 .. mode_max - mode_min the step is the exact reciprocal of
-        one band mode's gradient factor, visiting modes upward or downward;
-        afterwards the tail step (``default_tail_rho`` unless given) is used.
+        For k = 0 .. mode_max - mode_min the step is the ``optimal_step`` of
+        one band mode, 1 / C_m, visiting modes upward or downward; afterwards
+        the tail step (``default_tail_rho`` unless given) is used.
         """
         if k >= self.planned_rises:
             return self.tail_rho or default_tail_rho(r_inner, r_outer)
         mode = self.mode_min + k if self.direction == "ascending" else self.mode_max - k
-        return 1.0 / gradient_factor(mode, r_inner, r_outer)
+        return optimal_step(mode, mode, r_inner, r_outer)[0]
 
 
 @dataclass(frozen=True)
@@ -198,21 +197,22 @@ def optimal_step(
 
     Balancing the two edge modes gives rho = 2 / (C_min + C_max) and the
     per-step contraction delta = (C_min - C_max) / (C_min + C_max); a
-    single-mode band yields delta = 0, one-step convergence.
+    single-mode band yields rho = 1 / C_m and delta = 0, one-step
+    convergence. Two factors that underflow to 0 give rho = inf, delta = NaN.
     """
     _require_band(mode_min, mode_max)
     c_lo = gradient_factor(mode_min, r_inner, r_outer)
     c_hi = gradient_factor(mode_max, r_inner, r_outer)
-    rho = 2.0 / (c_lo + c_hi)
-    delta = (c_lo - c_hi) / (c_lo + c_hi)
-    return rho, delta
+    total = c_lo + c_hi
+    return (2.0 / total, (c_lo - c_hi) / total) if total else (math.inf, math.nan)
 
 
 def default_tail_rho(r_inner: float, r_outer: float) -> float:
     """Tail step once a sweep or schedule has run out of steps.
 
-    The optimal two-mode step for the band [0, DEFAULT_BAND_CAP]; the
-    top mode's factor is negligible, so this is essentially 2 / C_0 =
-    r_inner / r_outer.
+    The optimal two-mode step for the band [0, DEFAULT_BAND_CAP],
+    2 / (C_0 + C_64). It equals r_inner / r_outer = 2 / C_0 only while
+    C_64 / C_0 is negligible: exactly at radius ratios 3 and 1.5, but
+    0.77% low at 1.05 and 41% low at 1.01.
     """
     return optimal_step(0, DEFAULT_BAND_CAP, r_inner, r_outer)[0]

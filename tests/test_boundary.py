@@ -27,7 +27,7 @@ def test_make_ring_rejects_tiny():
 def test_ring_validation():
     with pytest.raises(ValueError, match="side"):
         BoundaryRing("top", 1.0, 8)
-    for radius in (0.0, -1.0, math.nan):
+    for radius in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="radius"):
             BoundaryRing("inner", radius, 8)
 

@@ -131,10 +131,16 @@ def test_divergence_exits_two(tmp_path, capsys):
 def test_overflow_exits_two_without_traceback(tmp_path, capsys):
     """At 1e200 the first iterate's square norm overflows; at 1e308 on
     ``example1`` the iterate is finite, but its square norm and the sums of
-    its next solve are not. Neither warns."""
+    its next solve are not. C_400 underflows to 0, so a sweep or an optimal
+    step of a band that ends at mode 400 is infinite. None warns."""
+    strategies = [
+        *({"kind": "constant", "rho": rho} for rho in (1e200, 1e308)),
+        {"kind": "sweep", "mode_min": 0, "mode_max": 400},
+        {"kind": "optimal", "mode_min": 400, "mode_max": 400},
+    ]
     for backend in ("spectral", "fem"):
-        for rho in (1e200, 1e308):
-            cfg = dict(BASE, backend=backend, strategy={"kind": "constant", "rho": rho})
+        for strategy in strategies:
+            cfg = dict(BASE, backend=backend, strategy=strategy)
             path = write_config(tmp_path, dict(cfg, output_dir=str(tmp_path / "out")))
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
@@ -544,6 +550,9 @@ def test_oracle_check_function():
     spec = AnnulusSpec(1.0, 3.0, 6, 32)
     results = oracle_check(spec, modes=(0, 1), tolerance=0.05)
     assert all(r["passed"] for r in results)
+    for modes in ((True,), (0, 1.5)):
+        with pytest.raises(ValueError, match="whole number"):
+            oracle_check(spec, modes=modes)
     # the constant mode is reproduced exactly by the discrete operator
     assert results[0]["trace_error"] < 1e-10
 

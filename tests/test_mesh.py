@@ -36,6 +36,9 @@ def test_spec_validation():
         AnnulusSpec(3.0, 1.0, 2, 4)
     with pytest.raises(ValueError):
         AnnulusSpec(-1.0, 3.0, 2, 4)
+    for r_inner, r_outer in ((1.0, math.inf), (math.inf, math.inf)):
+        with pytest.raises(ValueError, match="radii"):
+            AnnulusSpec(r_inner, r_outer, 2, 4)
     with pytest.raises(ValueError):
         AnnulusSpec(1.0, 3.0, 2, 2)
     for counts in ((2.5, 16), (2, 16.0), (True, 16)):

@@ -50,7 +50,7 @@ def test_trace_factor_values():
 
 def test_trace_factor_even_in_mode():
     """Mode -j has the factors of mode j; a mode must be a whole number,
-    and the radii must satisfy 0 < r_inner < r_outer."""
+    and the radii must satisfy 0 < r_inner < r_outer < inf."""
     for j in (1, 2, 5, 11):
         assert trace_factor(-j, R_IN, R_OUT) == trace_factor(j, R_IN, R_OUT)
     assert gradient_factor(np.int64(-2), R_IN, R_OUT) == gradient_factor(2, R_IN, R_OUT)
@@ -58,11 +58,12 @@ def test_trace_factor_even_in_mode():
         for factor in (trace_factor, gradient_factor):
             with pytest.raises(ValueError, match="whole number"):
                 factor(mode, R_IN, R_OUT)
-    for factor in (trace_factor, gradient_factor):
+    for r_inner, r_outer in ((R_OUT, R_IN), (R_IN, math.inf)):
+        for factor in (trace_factor, gradient_factor):
+            with pytest.raises(ValueError, match="radii"):
+                factor(1, r_inner, r_outer)
         with pytest.raises(ValueError, match="radii"):
-            factor(1, R_OUT, R_IN)
-    with pytest.raises(ValueError, match="radii"):
-        SpectralBackend(R_OUT, R_IN)
+            SpectralBackend(r_inner, r_outer)
 
 
 def test_gradient_factor_values():

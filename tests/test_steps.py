@@ -86,6 +86,11 @@ def test_optimal_step_single_mode():
     assert delta == 0.0
     for m in (0, 1, 5, 17):
         assert optimal_step(m, m, R_IN, R_OUT)[1] == 0.0
+        # 2 / (C + C) rounds like 1 / C: the sweep's step is this one
+        assert optimal_step(m, m, R_IN, R_OUT)[0] == 1.0 / gradient_factor(m, R_IN, R_OUT)
+    # C_400 underflows to 0 at radius ratio 3: no finite step reaches the band
+    rho, delta = optimal_step(400, 400, R_IN, R_OUT)
+    assert rho == math.inf and math.isnan(delta)
 
 
 def test_optimal_step_two_modes():
@@ -151,9 +156,7 @@ def test_sweep_annihilates_band_in_band_width_steps():
         for k in range(6):
             mode = k if direction == "ascending" else 5 - k
             c = gradient_factor(mode, R_IN, R_OUT)
-            assert math.isclose(
-                ModeSweep(0, 5, direction).step_size(k, R_IN, R_OUT), 1.0 / c, rel_tol=1e-15
-            )
+            assert ModeSweep(0, 5, direction).step_size(k, R_IN, R_OUT) == 1.0 / c
             mu = mu * (1.0 - factors / c)
         assert not mu.any()
 
