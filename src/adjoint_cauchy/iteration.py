@@ -13,13 +13,13 @@ live in ``fem`` and ``spectral``, and this module imports neither.
 Each iteration costs exactly one primary and one adjoint solve, so a run
 of k iterations books k + 1 primary and k adjoint solves; line-search
 trials are counted separately so solver budgets of different step
-strategies can be compared. ``run`` asks every rule for its step with one
-``strategy.step`` call and hands it ``line(beta)``, which solves for the
-functional at omega - beta*grad. A fixed rule never calls it; ``Armijo``
-calls it once per trial. If the last trial was taken at the step the rule
-returns, it has solved the primary problem at the next iterate, so that
-solve is kept and booked as the next iterate's primary solve; every other
-trial counts as a line-search solve.
+strategies can be compared. ``run`` takes one plan per run from
+``strategy.start`` and asks it for each step, handing it ``line(beta)``,
+which solves for the functional at omega - beta*grad. A fixed rule's plan
+never calls it; ``Armijo`` calls it once per trial. If the last trial was
+taken at the step the plan returns, it has solved the primary problem at
+the next iterate, so that solve is kept and booked as the next iterate's
+primary solve; every other trial counts as a line-search solve.
 """
 
 from __future__ import annotations
@@ -44,8 +44,8 @@ __all__ = [
 ]
 
 # Consecutive functional increases tolerated before a run is declared
-# divergent. A rule's planned rises (the steps of a mode sweep, which may
-# raise the functional by design) are not counted.
+# divergent. A plan's planned rises (the listed steps of a sweep or a
+# schedule, which may raise the functional by design) are not counted.
 DIVERGENCE_PATIENCE = 5
 
 
@@ -204,7 +204,7 @@ def run(
     threshold fired, for the gradient norm. Hitting ``max_iters`` returns a
     result flagged not converged rather than raising; a step to an iterate
     whose norm is not finite, a functional that is not finite, or one that
-    keeps increasing past the rule's planned rises raises
+    keeps increasing past the plan's planned rises raises
     ``DivergenceError``, and no overflow warns.
     """
     if data.u_bar.ring != backend.outer_ring:
@@ -218,7 +218,7 @@ def run(
             raise ValueError("omega0 has a non-finite square norm")
         omega = omega0.copy()
 
-    radii = backend.inner_ring.radius, backend.outer_ring.radius
+    plan = strategy.start(backend.inner_ring.radius, backend.outer_ring.radius)
     primary = adjoint = line_search = 0
     history: list[IterationRecord] = []
     previous_j = math.inf
@@ -240,7 +240,7 @@ def run(
                 history,
             )
         # iterate k is the result of step k - 1
-        if j_value > previous_j and k > strategy.planned_rises:
+        if j_value > previous_j and k > plan.planned_rises:
             increases += 1
             if increases >= DIVERGENCE_PATIENCE:
                 raise DivergenceError(
@@ -273,7 +273,7 @@ def run(
             trials.append((beta, candidate, (j_trial, v_trial)))
             return j_trial
 
-        rho = strategy.step(k, line, j_value, grad_norm**2, *radii)
+        rho = plan.step(k, line, j_value, grad_norm**2)
         if trials and trials[-1][0] == rho:
             _, omega, evaluation = trials.pop()
         else:

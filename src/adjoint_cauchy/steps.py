@@ -1,8 +1,8 @@
 """Step size strategies for the boundary descent iteration.
 
-Five interchangeable ``StepStrategy`` rules; ``run`` asks each for the
-step of iteration k with one ``step`` call. Four fix their steps in
-advance and answer ``step_size(k, r_inner, r_outer)``:
+Five interchangeable ``StepStrategy`` rules. ``run`` calls ``start(r_inner,
+r_outer)`` once per run and asks the plan it returns for each step with
+``step(k, line, j_value, grad_norm_sq)``. Four fix their steps in advance:
 
 * ``Constant``: one fixed step.
 * ``OptimalTwoMode``: the constant step 2 / (C_M + C_N) that minimizes the
@@ -57,17 +57,29 @@ class StepUnderflowError(RuntimeError):
 
 
 class StepStrategy:
-    """A step rule. ``planned_rises`` counts the leading steps that may
-    raise the functional by design, which ``run``'s divergence guard skips."""
+    """A step rule. Its plan's ``step(k, line, j_value, grad_norm_sq)`` is
+    the step of iteration k; ``line(beta)`` solves for the functional at
+    omega - beta*grad, and if its last call was at the returned step, that
+    solve is the next iterate's. A plan's ``planned_rises`` counts the leading
+    steps that may raise J by design, which ``run``'s divergence guard skips."""
 
     planned_rises = 0
 
-    def step(self, k, line, j_value, grad_norm_sq, r_inner, r_outer) -> float:
-        """Step of iteration k at functional ``j_value``. ``line(beta)``
-        returns the functional at omega - beta*grad, one primary solve per
-        call; if the last call was at the returned step, that solve is the
-        next iterate's. A fixed rule ignores it and answers ``step_size``."""
-        return self.step_size(k, r_inner, r_outer)
+    def start(self, r_inner: float, r_outer: float):
+        """The plan for a run on this annulus; a stateless rule is its own."""
+        return self
+
+
+@dataclass(frozen=True)
+class _FixedPlan:
+    """A fixed rule's plan: ``listed(k)`` while k < ``planned_rises``, then ``tail``."""
+
+    tail: float
+    planned_rises: int = 0
+    listed: Callable[[int], float] | None = None
+
+    def step(self, k, line, j_value, grad_norm_sq) -> float:
+        return self.listed(k) if k < self.planned_rises else self.tail
 
 
 @dataclass(frozen=True)
@@ -78,7 +90,7 @@ class Constant(StepStrategy):
         if not 0.0 < self.rho < math.inf:
             raise ValueError("constant step size must be positive and finite")
 
-    def step_size(self, k: int, r_inner: float, r_outer: float) -> float:
+    def step(self, k, line, j_value, grad_norm_sq) -> float:
         return self.rho
 
 
@@ -93,7 +105,7 @@ class Armijo(StepStrategy):
         if not 0.0 < self.tau < 1.0:
             raise ValueError("Armijo shrink factor must lie in (0, 1)")
 
-    def step(self, k, line, j_value, grad_norm_sq, r_inner, r_outer) -> float:
+    def step(self, k, line, j_value, grad_norm_sq) -> float:
         """The accepted trial, which is the last ``line`` call."""
         return armijo_step(line, j_value, grad_norm_sq, self.xi, self.tau)[0]
 
@@ -106,8 +118,8 @@ class OptimalTwoMode(StepStrategy):
     def __post_init__(self):
         _require_band(self.mode_min, self.mode_max)
 
-    def step_size(self, k: int, r_inner: float, r_outer: float) -> float:
-        return optimal_step(self.mode_min, self.mode_max, r_inner, r_outer)[0]
+    def start(self, r_inner: float, r_outer: float) -> _FixedPlan:
+        return _FixedPlan(optimal_step(self.mode_min, self.mode_max, r_inner, r_outer)[0])
 
 
 @dataclass(frozen=True)
@@ -124,22 +136,15 @@ class ModeSweep(StepStrategy):
         if self.tail_rho is not None and not 0.0 < self.tail_rho < math.inf:
             raise ValueError("tail step size must be positive and finite")
 
-    @property
-    def planned_rises(self) -> int:
-        """Number of sweep steps, one per band mode; each may raise J."""
-        return self.mode_max - self.mode_min + 1
+    def start(self, r_inner: float, r_outer: float) -> _FixedPlan:
+        """The ``optimal_step`` 1 / C_m of each band mode, upward or downward,
+        then the tail step (``default_tail_rho`` unless given)."""
+        def listed(k: int) -> float:
+            mode = self.mode_min + k if self.direction == "ascending" else self.mode_max - k
+            return optimal_step(mode, mode, r_inner, r_outer)[0]
 
-    def step_size(self, k: int, r_inner: float, r_outer: float) -> float:
-        """Step of sweep iteration ``k``.
-
-        For k = 0 .. mode_max - mode_min the step is the ``optimal_step`` of
-        one band mode, 1 / C_m, visiting modes upward or downward; afterwards
-        the tail step (``default_tail_rho`` unless given) is used.
-        """
-        if k >= self.planned_rises:
-            return self.tail_rho or default_tail_rho(r_inner, r_outer)
-        mode = self.mode_min + k if self.direction == "ascending" else self.mode_max - k
-        return optimal_step(mode, mode, r_inner, r_outer)[0]
+        tail = self.tail_rho or default_tail_rho(r_inner, r_outer)
+        return _FixedPlan(tail, self.mode_max - self.mode_min + 1, listed)
 
 
 @dataclass(frozen=True)
@@ -156,11 +161,9 @@ class ExplicitSchedule(StepStrategy):
         if self.tail_rho is not None and not 0.0 < self.tail_rho < math.inf:
             raise ValueError("tail step size must be positive and finite")
 
-    def step_size(self, k: int, r_inner: float, r_outer: float) -> float:
-        """The ``k``-th listed step, then the tail step as in ``ModeSweep``."""
-        if k >= len(self.rhos):
-            return self.tail_rho or default_tail_rho(r_inner, r_outer)
-        return self.rhos[k]
+    def start(self, r_inner: float, r_outer: float) -> _FixedPlan:
+        tail = self.tail_rho or default_tail_rho(r_inner, r_outer)
+        return _FixedPlan(tail, len(self.rhos), self.rhos.__getitem__)
 
 
 def armijo_step(

@@ -86,11 +86,12 @@ def test_criterion_2_sweep_annihilates_band():
     ratios = {}
     for direction in ("descending", "ascending"):
         mu0 = mu = _random_band(rng, 5)
+        plan = ModeSweep(0, 5, direction).start(R_IN, R_OUT)
         for k in range(6):
             mode = 5 - k if direction == "descending" else k
             c = gradient_factor(mode, R_IN, R_OUT)
-            rho = ModeSweep(0, 5, direction).step_size(k, R_IN, R_OUT)
-            assert math.isclose(rho, 1.0 / c, rel_tol=1e-15)
+            # a fixed rule's plan reads no line, functional or gradient
+            assert plan.step(k, None, None, None) == 1.0 / c
             # 1 - C_j / c, not 1 - rho*C_j: exactly zero on the annihilated mode
             mu = mu * (1.0 - _gradient_factors(5) / c)
         ratios[direction] = _norm(mu) / _norm(mu0)

@@ -24,6 +24,7 @@ from adjoint_cauchy import (
     StopRule,
     cli,
     generate_mesh,
+    gradient_factor,
 )
 from adjoint_cauchy.cli import ConfigError, _count, _number, main, oracle_check
 from adjoint_cauchy.iteration import IterationRecord
@@ -126,6 +127,26 @@ def test_divergence_exits_two(tmp_path, capsys):
     cfg = dict(BASE, strategy={"kind": "constant", "rho": 30.0}, output_dir=str(tmp_path / "out"))
     assert main(["run", write_config(tmp_path, cfg)]) == 2
     assert "increas" in capsys.readouterr().err.lower()
+
+
+def test_sweep_steps_as_a_schedule_exit_zero(tmp_path, capsys):
+    """ModeSweep(0, 8)'s nine steps 1/C_8 .. 1/C_0 written as a schedule
+    raise J for six steps and then converge, as the sweep does: a
+    schedule's listed steps are planned rises, not divergence."""
+    cfg = dict(
+        BASE,
+        radii={"inner": 1.0, "outer": 1.5},
+        mesh={"n_radial": 27, "n_angular": 256},
+        data={"terms": [{"amplitude": 1.0, "mode": mode, "kind": "cos"} for mode in range(9)]},
+        strategy={
+            "kind": "schedule",
+            "rhos": [1.0 / gradient_factor(mode, 1.0, 1.5) for mode in range(8, -1, -1)],
+        },
+        stop={"j_tol": 1e-12, "max_iters": 9},
+        output_dir=str(tmp_path / "out"),
+    )
+    assert main(["run", write_config(tmp_path, cfg)]) == 0
+    assert capsys.readouterr().out.startswith("converged: 9 iterations")
 
 
 def test_overflow_exits_two_without_traceback(tmp_path, capsys):

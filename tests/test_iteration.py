@@ -181,7 +181,9 @@ def harmonic_band(top):
 def test_sweep_rises_are_not_divergence():
     """A descending sweep raises J by design (to 4.5e23 at k = 4 here) and
     then falls; only rises past its steps count toward the guard, so the
-    sweep finishes while OptimalTwoMode(1, 2) still trips it."""
+    sweep finishes while OptimalTwoMode(1, 2) still trips it. A schedule's
+    listed steps are planned rises too, so a schedule of a sweep's steps
+    runs as the sweep does, and both guard their tails alike."""
     backend = SpectralBackend(R_IN, R_OUT)
     data = cauchy_data(harmonic_band(5), backend.outer_ring)
     with warnings.catch_warnings():
@@ -197,9 +199,31 @@ def test_sweep_rises_are_not_divergence():
         run(backend, example2, OptimalTwoMode(1, 2))
     # a sweep's tail is watched from its first step: 1.0 > 2/C_1 makes J
     # rise at k = 2..6, after the one sweep step
-    with pytest.raises(DivergenceError) as err:
-        run(backend, example2, ModeSweep(2, 2, tail_rho=1.0))
-    assert len(err.value.history) == 6
+    for rule in (ModeSweep(2, 2, tail_rho=1.0), ExplicitSchedule((1681.0 / 486.0,), tail_rho=1.0)):
+        with pytest.raises(DivergenceError) as err:
+            run(backend, example2, rule)
+        assert len(err.value.history) == 6
+    # the plan lists a sweep's steps lazily: a band of 10**300 + 1 modes runs
+    assert run(backend, example2, ModeSweep(0, 10**300, "ascending")).iterations == 3
+
+    # ModeSweep(0, 8)'s nine steps as a schedule: on either backend J rises
+    # to 5.4e16 at k = 6 and then falls, so a guard that counted the listed
+    # steps' rises would stop the schedule at k = 5
+    nine_modes = tuple(HarmonicTerm(1.0, j, "cos") for j in range(9))
+    stop = StopRule(j_tol=1e-12, max_iters=9)
+    sweep = ModeSweep(0, 8)
+    plan = sweep.start(1.0, 1.5)
+    schedule = ExplicitSchedule([plan.step(k, None, None, None) for k in range(9)])
+    for other, reason in (
+        (SpectralBackend(1.0, 1.5, n_angular=256), "j_tol"),
+        (FemBackend(generate_mesh(AnnulusSpec(1.0, 1.5, 27, 256))), "max_iters"),
+    ):
+        data = cauchy_data(nine_modes, other.outer_ring)
+        swept, listed = run(other, data, sweep, stop), run(other, data, schedule, stop)
+        assert (swept.reason, swept.iterations) == (reason, 9)
+        assert max(record.j_value for record in swept.history) > 1e16
+        assert listed.history == swept.history
+        assert listed.omega.values.tobytes() == swept.omega.values.tobytes()
 
 
 @pytest.mark.parametrize("direction", ["descending", "ascending"])
@@ -299,11 +323,12 @@ STEP_RULES = [
 
 
 def resolving_run(backend, data, rule, stop):
-    """Descent that asks ``rule.step`` for each step and then solves the
+    """Descent that asks ``rule``'s plan for each step and then solves the
     new iterate again, whatever its line trials solved; returns its J, rho
     and gradient-norm histories, the last iterate and the number of direct
     solves."""
     omega, js, rhos, grad_norms, trials = BoundaryFunction.zeros(backend.inner_ring), [], [], [], 0
+    plan = rule.start(backend.inner_ring.radius, backend.outer_ring.radius)
     while True:
         j_value, v_trace = functional_at(backend, omega, data)
         js.append(j_value)
@@ -317,8 +342,7 @@ def resolving_run(backend, data, rule, stop):
             trials += 1
             return functional_at(backend, omega - beta * grad, data)[0]
 
-        radii = backend.inner_ring.radius, backend.outer_ring.radius
-        rhos.append(rule.step(len(rhos), line, j_value, grad_norms[-1] ** 2, *radii))
+        rhos.append(plan.step(len(rhos), line, j_value, grad_norms[-1] ** 2))
         omega = omega - rhos[-1] * grad
 
 

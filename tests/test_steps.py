@@ -120,30 +120,53 @@ def test_optimal_step_minimizes_compression():
             assert compression_factor(mode_min, mode_max, rho, R_IN, R_OUT) >= delta_opt - 1e-12
 
 
+def planned_steps(rule, count, r_inner=R_IN, r_outer=R_OUT):
+    """The first ``count`` steps of ``rule``'s plan for a run on this
+    annulus; a fixed rule's plan reads no line, functional or gradient."""
+    plan = rule.start(r_inner, r_outer)
+    return [plan.step(k, None, None, None) for k in range(count)]
+
+
 def test_sweep_step_descending():
-    sweep = ModeSweep(0, 2, "descending")
-    assert math.isclose(sweep.step_size(0, R_IN, R_OUT), 1681.0 / 486.0, rel_tol=1e-14)
-    assert math.isclose(sweep.step_size(1, R_IN, R_OUT), 25.0 / 54.0, rel_tol=1e-14)
-    assert math.isclose(sweep.step_size(2, R_IN, R_OUT), 1.0 / 6.0, rel_tol=1e-14)
+    steps = planned_steps(ModeSweep(0, 2, "descending"), 10)
+    assert math.isclose(steps[0], 1681.0 / 486.0, rel_tol=1e-14)
+    assert math.isclose(steps[1], 25.0 / 54.0, rel_tol=1e-14)
+    assert math.isclose(steps[2], 1.0 / 6.0, rel_tol=1e-14)
     # past the band the tail step takes over
-    assert ModeSweep(0, 2, "descending", tail_rho=1.0 / 3.0).step_size(3, R_IN, R_OUT) == 1.0 / 3.0
-    assert sweep.step_size(9, R_IN, R_OUT) == 1.0 / 3.0
+    assert planned_steps(ModeSweep(0, 2, "descending", tail_rho=1.0 / 3.0), 4)[3] == 1.0 / 3.0
+    assert steps[9] == 1.0 / 3.0
 
 
 def test_sweep_step_ascending():
-    sweep = ModeSweep(0, 2, "ascending")
-    assert math.isclose(sweep.step_size(0, R_IN, R_OUT), 1.0 / 6.0, rel_tol=1e-14)
-    assert math.isclose(sweep.step_size(1, R_IN, R_OUT), 25.0 / 54.0, rel_tol=1e-14)
-    assert math.isclose(sweep.step_size(2, R_IN, R_OUT), 1681.0 / 486.0, rel_tol=1e-14)
+    steps = planned_steps(ModeSweep(0, 2, "ascending"), 3)
+    assert math.isclose(steps[0], 1.0 / 6.0, rel_tol=1e-14)
+    assert math.isclose(steps[1], 25.0 / 54.0, rel_tol=1e-14)
+    assert math.isclose(steps[2], 1681.0 / 486.0, rel_tol=1e-14)
 
 
 def test_fixed_rule_step_sizes():
-    assert Constant(0.25).step_size(7, R_IN, R_OUT) == 0.25
-    assert OptimalTwoMode(0, 2).step_size(3, R_IN, R_OUT) == optimal_step(0, 2, R_IN, R_OUT)[0]
+    assert planned_steps(Constant(0.25), 8)[7] == 0.25
+    assert planned_steps(OptimalTwoMode(0, 2), 4)[3] == optimal_step(0, 2, R_IN, R_OUT)[0]
     schedule = ExplicitSchedule((2.0, 0.5))
     tail = default_tail_rho(R_IN, R_OUT)
-    assert [schedule.step_size(k, R_IN, R_OUT) for k in range(4)] == [2.0, 0.5, tail, tail]
-    assert ExplicitSchedule((2.0,), tail_rho=0.125).step_size(1, R_IN, R_OUT) == 0.125
+    assert planned_steps(schedule, 4) == [2.0, 0.5, tail, tail]
+    assert planned_steps(ExplicitSchedule((2.0,), tail_rho=0.125), 2)[1] == 0.125
+    # only the listed steps of a sweep or a schedule are planned rises
+    for rule in (Constant(0.25), OptimalTwoMode(0, 2), Armijo()):
+        assert rule.start(R_IN, R_OUT).planned_rises == 0
+    assert schedule.start(R_IN, R_OUT).planned_rises == 2
+
+
+@pytest.mark.parametrize("r_outer", [3.0, 1.5, 1.05])
+@pytest.mark.parametrize("direction", ["descending", "ascending"])
+def test_sweep_plan_is_the_schedule_of_its_steps(direction, r_outer):
+    """A schedule of a sweep's listed steps plans the same steps, tail and
+    planned rises: the count the divergence guard skips is stated once."""
+    sweep = ModeSweep(0, 5, direction)
+    schedule = ExplicitSchedule(planned_steps(sweep, 6, R_IN, r_outer))
+    assert planned_steps(schedule, 9, R_IN, r_outer) == planned_steps(sweep, 9, R_IN, r_outer)
+    planned = [rule.start(R_IN, r_outer).planned_rises for rule in (sweep, schedule)]
+    assert planned == [6, 6]
 
 
 def test_sweep_annihilates_band_in_band_width_steps():
@@ -153,10 +176,11 @@ def test_sweep_annihilates_band_in_band_width_steps():
         draws = rng.standard_normal(11)
         mu = np.concatenate(([draws[0]], draws[1::2] + 1j * draws[2::2]))
         factors = np.array([gradient_factor(j, R_IN, R_OUT) for j in range(6)])
+        steps = planned_steps(ModeSweep(0, 5, direction), 6)
         for k in range(6):
             mode = k if direction == "ascending" else 5 - k
             c = gradient_factor(mode, R_IN, R_OUT)
-            assert ModeSweep(0, 5, direction).step_size(k, R_IN, R_OUT) == 1.0 / c
+            assert steps[k] == 1.0 / c
             mu = mu * (1.0 - factors / c)
         assert not mu.any()
 
